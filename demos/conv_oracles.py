@@ -6,8 +6,8 @@ Every higher-level guarantee in this package bottoms out at conv2d.  To keep
 that foundation trustworthy there are two implementations: ``conv2d_naive``,
 a transparent loop kept close to the textbook definition, and
 ``conv2d_fast``, which dispatches to im2col/matmul, a pointwise einsum, or a
-depthwise sliding-window einsum depending on the kernel.  This script runs
-both on the same inputs and prints how far apart they land.
+channels-last shift-and-accumulate loop for depthwise kernels.  This script
+runs both on the same inputs and prints how far apart they land.
 """
 
 import numpy as np

@@ -36,6 +36,7 @@ __all__ = [
     "ParamEntry",
     "assemble",
     "shape_infer",
+    "check_input_size",
     "count_params_flops",
     "Bookkeeping",
     "node_param_entries",
@@ -285,6 +286,17 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
 # shape inference
 
 
+def check_input_size(node: Node, hw: tuple[int, int]) -> None:
+    """Reject a spatial input size that the model's downsampling stages
+    cannot halve cleanly: both extents must be multiples of the input
+    node's ``divisor``."""
+    div = node.attrs.get("divisor", 1)
+    if hw[0] % div or hw[1] % div:
+        raise ShapeError(
+            f"input size {hw[0]}x{hw[1]} must be divisible by {div} for this model"
+        )
+
+
 def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int, int]]:
     """Propagate (channels, height, width) through every node, validating
     channel and resolution consistency along the way.
@@ -307,11 +319,7 @@ def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int,
         ins = [shapes[i] for i in node.inputs]
         kind = node.kind
         if kind == "input":
-            div = node.attrs.get("divisor", 1)
-            if hw[0] % div or hw[1] % div:
-                raise ShapeError(
-                    f"input size {hw} must be divisible by {div} for this model"
-                )
+            check_input_size(node, hw)
             shape = (node.attrs.get("channels", 3), hw[0], hw[1])
         elif kind == "conv":
             c, h, wd = ins[0]

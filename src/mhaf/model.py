@@ -19,7 +19,7 @@ from .blocks import (
     MixerSpec,
 )
 from .errors import NumericError, ShapeError, StateError
-from .graph import ModelGraph, Node, node_slots
+from .graph import ModelGraph, Node, check_input_size, node_slots
 from .reparam import fuse_conv_bn
 from .tensor import (
     avgpool2d,
@@ -84,9 +84,11 @@ def forward(
 ) -> dict[str, np.ndarray]:
     """Evaluate the graph on an NCHW float32 batch.
 
-    Returns {head level: feature map} for the graph outputs.  Intermediate
-    tensors are freed as soon as their last consumer has run; every node
-    output is checked for finiteness so numerical blow-ups name their node.
+    Returns {head level: feature map} for the graph outputs.  The input's
+    channels and spatial size (both extents multiples of the input node's
+    ``divisor``) are checked before any node runs.  Intermediate tensors are
+    freed as soon as their last consumer has run; every node output is
+    checked for finiteness so numerical blow-ups name their node.
     """
     check_tensor4(x)
     validate_store(graph, store)
@@ -94,6 +96,13 @@ def forward(
 
     remaining: dict[str, int] = {}
     for node in graph:
+        if node.kind == "input":
+            if x.shape[1] != node.attrs.get("channels", 3):
+                raise ShapeError(
+                    f"input has {x.shape[1]} channels, expected "
+                    f"{node.attrs.get('channels', 3)}"
+                )
+            check_input_size(node, x.shape[2:])
         for src in node.inputs:
             remaining[src] = remaining.get(src, 0) + 1
     for out in graph.outputs:
@@ -102,11 +111,6 @@ def forward(
     values: dict[str, np.ndarray] = {}
     for node in graph:
         if node.kind == "input":
-            if x.shape[1] != node.attrs.get("channels", 3):
-                raise ShapeError(
-                    f"input has {x.shape[1]} channels, expected "
-                    f"{node.attrs.get('channels', 3)}"
-                )
             out = x
         else:
             ins = [values[i] for i in node.inputs]

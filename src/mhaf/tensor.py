@@ -8,8 +8,10 @@ Conventions
 * All arithmetic stays in float32.  The reference convolution
   (:func:`conv2d_naive`) accumulates every output element in a fixed
   (kernel-row, kernel-col, input-channel) order, so repeated runs are
-  bit-identical.  :func:`conv2d_fast` trades that fixed order for BLAS
-  speed and is validated against the reference to a relative tolerance.
+  bit-identical.  :func:`conv2d_fast` trades that fixed order for speed
+  (BLAS matmuls, and a channels-last shift-and-accumulate loop for
+  depthwise kernels) and is validated against the reference to a relative
+  tolerance.
 * Spatial downsampling by pooling/striding always uses factor 2, matching
   the stage layout of the models built on top of these ops.
 """
@@ -20,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import expit
 
 from .errors import KernelError, ShapeError
 
@@ -244,12 +245,46 @@ def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray
     return np.ascontiguousarray(windows).reshape(b, c * k * k, oh * ow)
 
 
+def _depthwise_channels_last(
+    x: np.ndarray, w: np.ndarray, s: int, p: int, oh: int, ow: int
+) -> np.ndarray:
+    """Depthwise conv (multiplier 1) by shift-and-accumulate over a
+    zero-padded channels-last copy of ``x``; returns an NHWC array.
+
+    Each kernel tap is one vectorized multiply of a shifted (strided) view
+    whose contiguous inner run is the whole channel axis.  Taps are summed
+    per kernel row before the row joins the output: one float32 running sum
+    over all k*k taps drifts further from the reference than the k-term
+    partial sums do.
+    """
+    b, c, h, wd = x.shape
+    k = w.shape[2]
+    xp = np.zeros((b, h + 2 * p, wd + 2 * p, c), dtype=np.float32)
+    xp[:, p : p + h, p : p + wd] = x.transpose(0, 2, 3, 1)
+    taps = np.ascontiguousarray(w[:, 0].transpose(1, 2, 0))  # (k, k, c)
+    out = np.empty((b, oh, ow, c), dtype=np.float32)
+    row = np.empty_like(out)
+    prod = np.empty_like(out)
+    span_h, span_w = s * (oh - 1) + 1, s * (ow - 1) + 1
+    for i in range(k):
+        rows = xp[:, i : i + span_h : s]
+        acc = out if i == 0 else row
+        np.multiply(rows[:, :, 0:span_w:s], taps[i, 0], out=acc)
+        for j in range(1, k):
+            np.multiply(rows[:, :, j : j + span_w : s], taps[i, j], out=prod)
+            acc += prod
+        if i:
+            out += row
+    return out
+
+
 def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
-    """BLAS-backed convolution, numerically equivalent to
-    :func:`conv2d_naive` up to float32 rounding.
+    """Fast convolution, numerically equivalent to :func:`conv2d_naive` up
+    to float32 rounding.
 
     Dispatches on kernel structure: 1x1 convs become a single matmul,
-    depthwise convs use a strided-window einsum, dense convs go through
+    depthwise convs shift-and-accumulate over a channels-last copy of the
+    input (:func:`_depthwise_channels_last`), dense convs go through
     im2col + matmul, and any remaining grouped case falls back to per-group
     im2col.
     """
@@ -267,16 +302,9 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
         mat = w.reshape(cout, cin)
         out = np.einsum("oc,bchw->bohw", mat, xs, optimize=True)
     elif g == cin and cout == cin:
-        # depthwise, multiplier 1
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        sb, sc, sh, sw = xp.strides
-        windows = as_strided(
-            xp,
-            shape=(b, cin, oh, ow, k, k),
-            strides=(sb, sc, sh * s, sw * s, sh, sw),
-            writeable=False,
-        )
-        out = np.einsum("bcxyij,cij->bcxy", windows, w[:, 0], optimize=True)
+        out = _depthwise_channels_last(x, w, s, p, oh, ow)
+        out += kernel.bias
+        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
     elif g == 1:
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
         cols = _im2col(xp, k, s, oh, ow)
@@ -310,8 +338,19 @@ def batchnorm_infer(x: np.ndarray, bn: BNParams) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """SiLU activation, ``x * sigmoid(x)``."""
-    return (x * expit(x)).astype(np.float32, copy=False)
+    """SiLU activation, ``x * sigmoid(x)``, computed as ``x / (1 + exp(-x))``
+    into one float32 buffer.
+
+    For very negative ``x``, ``exp(-x)`` overflows to ``inf`` and the
+    quotient is the correctly signed zero, so the overflow is expected and
+    silenced.  ``x`` itself is never written.
+    """
+    out = np.negative(x, out=np.empty(x.shape, dtype=np.float32))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1
+    np.divide(x, out, out=out)
+    return out
 
 
 def avgpool2d(x: np.ndarray) -> np.ndarray:

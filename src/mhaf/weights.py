@@ -16,7 +16,10 @@ float, keeping the container format uniform.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -307,7 +310,12 @@ def _pack_entry(buf: bytearray, name: str, arr: np.ndarray) -> None:
 
 def save_weights(store: WeightStore, path: str) -> None:
     """Write the store to the binary container (metadata entry first, then
-    data entries in insertion order, then the checksum)."""
+    data entries in insertion order, then the checksum).
+
+    The bytes go to a temporary file beside ``path`` that ``os.replace``
+    then moves over it, so an existing file at ``path`` is either left
+    untouched or replaced whole; the temporary file is removed on failure.
+    """
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<I", VERSION)
@@ -316,8 +324,18 @@ def save_weights(store: WeightStore, path: str) -> None:
     for name, arr in store.entries.items():
         _pack_entry(buf, name, arr)
     buf += struct.pack("<Q", crc64_xz(bytes(buf)))
-    with open(path, "wb") as fh:
-        fh.write(buf)
+    # a named temp file rather than tempfile.mkstemp, whose 0600 mode would
+    # survive the rename; open() keeps the usual umask-derived permissions
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(buf)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def load_weights(path: str) -> WeightStore:

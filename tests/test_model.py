@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhaf.config import load_preset
-from mhaf.errors import NumericError, StateError
+from mhaf.errors import NumericError, ShapeError, StateError
 from mhaf.graph import assemble, count_params_flops
 from mhaf.model import benchmark_forward, forward, fuse_model
 from mhaf.weights import init_weights, load_weights, save_weights
@@ -68,6 +68,14 @@ class TestForward:
         x[0, 0, 0, 0] = np.nan
         with pytest.raises(NumericError, match="stem.1"):
             forward(graph, store, x)
+
+    def test_indivisible_input_rejected_up_front(self):
+        # 100 is not a multiple of nano's total stride 32; the check must
+        # name that divisor instead of failing inside a fusion node
+        graph = assemble(load_preset("nano"))
+        store = init_weights(graph, seed=0)
+        with pytest.raises(ShapeError, match="100x100 must be divisible by 32"):
+            forward(graph, store, tiny_input(100))
 
 
 class TestFusion:

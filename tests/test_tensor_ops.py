@@ -1,5 +1,7 @@
 """Tests for the core tensor ops against independent scalar oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,23 +105,36 @@ class TestConvNaive:
             conv2d_naive(x, ker)
 
 
+# (cin, cout, k, stride, groups, (h, w)); inputs have batch 2
+DISPATCH_CASES = [
+    (8, 16, 1, 1, 1, (14, 18)),      # pointwise
+    (8, 16, 1, 2, 1, (14, 18)),      # strided pointwise
+    (16, 16, 3, 1, 16, (14, 18)),    # depthwise
+    (16, 16, 9, 1, 16, (14, 18)),    # large depthwise
+    (16, 16, 3, 2, 16, (14, 18)),    # strided depthwise
+    (160, 160, 9, 1, 160, (3, 3)),   # depthwise kernel larger than its plane
+    (8, 12, 3, 1, 1, (14, 18)),      # dense
+    (8, 12, 5, 2, 1, (14, 18)),      # dense strided
+    (12, 8, 3, 1, 4, (14, 18)),      # grouped
+]
+
+
+def _dispatch_case_id(case):
+    *conv, (h, w) = case
+    name = "-".join(map(str, conv))
+    return name if (h, w) == (14, 18) else f"{name}-{h}x{w}"
+
+
 class TestConvFast:
     @pytest.mark.parametrize(
-        "cin,cout,k,s,g",
-        [
-            (8, 16, 1, 1, 1),   # pointwise
-            (8, 16, 1, 2, 1),   # strided pointwise
-            (16, 16, 3, 1, 16), # depthwise
-            (16, 16, 9, 1, 16), # large depthwise
-            (8, 12, 3, 1, 1),   # dense
-            (8, 12, 5, 2, 1),   # dense strided
-            (12, 8, 3, 1, 4),   # grouped
-        ],
+        "cin,cout,k,s,g,hw",
+        DISPATCH_CASES,
+        ids=[_dispatch_case_id(c) for c in DISPATCH_CASES],
     )
-    def test_each_dispatch_path_matches_naive(self, cin, cout, k, s, g):
+    def test_each_dispatch_path_matches_naive(self, cin, cout, k, s, g, hw):
         """Every fast-path specialization agrees with the reference conv."""
         rng = np.random.default_rng(200 + cin + cout + k + s + g)
-        x = rng.standard_normal((2, cin, 14, 18)).astype(np.float32)
+        x = rng.standard_normal((2, cin, *hw)).astype(np.float32)
         ker = random_kernel(rng, cin, cout, k, stride=s, groups=g)
         err = normalized_max_error(conv2d_fast(x, ker), conv2d_naive(x, ker))
         assert err <= 1e-5
@@ -229,6 +244,21 @@ class TestElementwiseAndResampling:
         x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32) * 4
         assert np.allclose(silu(x), silu_scalar(x), rtol=1e-5, atol=1e-6)
         assert silu(x).dtype == np.float32
+
+    def test_silu_extremes_are_finite_and_quiet(self):
+        # exp(-x) overflows for x <= -88.8 in float32; the result must
+        # still be a finite (zero) float32 without any floating-point warning
+        x = np.array([1e4, -1e4, 100, -100, -88.8, 0], dtype=np.float32)
+        x = x.reshape(1, 1, 2, 3)
+        before = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = silu(x)
+        assert y.dtype == np.float32
+        assert np.all(np.isfinite(y))
+        large = x >= 100
+        assert np.array_equal(y[large], x[large])
+        assert np.array_equal(x, before)
 
     def test_avgpool_matches_oracle(self):
         rng = np.random.default_rng(501)

@@ -1,5 +1,6 @@
 """Tests for weight initialization and the checksummed container format."""
 
+import os
 import struct
 
 import numpy as np
@@ -142,6 +143,22 @@ class TestRoundTrip:
         save_weights(small_store(), p1)
         save_weights(load_weights(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    def test_failed_replace_leaves_target_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.mhwt"
+        save_weights(small_store(), str(path))
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        other = init_weights(assemble(load_preset("lite-nano")), seed=1)
+        with pytest.raises(OSError, match="simulated rename failure"):
+            save_weights(other, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["w.mhwt"]
 
 
 class TestDamageDetection:
