@@ -33,11 +33,12 @@ print(f"nano: {len(graph.nodes)} nodes, {totals.params / 1e6:.2f}M params, "
 
 # deterministic init, then a round trip through the binary container
 store = init_weights(graph, seed=0)
-path = os.path.join(tempfile.mkdtemp(), "nano.mhwt")
-save_weights(store, path)
-store = load_weights(path)
-print(f"weight file: {os.path.getsize(path):,} bytes, "
-      f"{len(store.entries)} entries, checksum verified on load")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "nano.mhwt")
+    save_weights(store, path)
+    store = load_weights(path)
+    print(f"weight file: {os.path.getsize(path):,} bytes, "
+          f"{len(store.entries)} entries, checksum verified on load")
 
 # fold batchnorm everywhere
 outcome = fuse_model(graph, store)

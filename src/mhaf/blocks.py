@@ -21,6 +21,7 @@ from .reparam import (
     RepHConvWeights,
     fuse_conv_bn,
     merge_heterogeneous,
+    random_rephconv,
     rephconv_forward,
 )
 from .tensor import (
@@ -55,6 +56,7 @@ __all__ = [
     "rephms_concat_width",
     "rephms_from_units",
     "deploy_conv_unit",
+    "fold_slot",
     "deploy_block",
     "deploy_rephms",
     "random_conv_unit",
@@ -95,6 +97,14 @@ def deploy_conv_unit(unit: ConvUnit) -> ConvUnit:
     if unit.bn is None:
         return unit
     return ConvUnit(kernel=fuse_conv_bn(unit.kernel, unit.bn), bn=None, act=unit.act)
+
+
+def fold_slot(unit: ConvUnit | RepHConvWeights) -> ConvKernel:
+    """The one bias-carrying kernel a training-form slot deploys to: a conv
+    unit's BN folded into its conv, or a mixer's branches merged."""
+    if isinstance(unit, RepHConvWeights):
+        return merge_heterogeneous(unit).fused
+    return deploy_conv_unit(unit).kernel
 
 
 @dataclass(frozen=True)
@@ -501,8 +511,6 @@ def random_conv_unit(spec: ConvUnitSpec, rng: np.random.Generator) -> ConvUnit:
 
 def random_rephms(spec: RepHMSSpec, rng: np.random.Generator) -> RepHMSWeights:
     """Sample a full training-form aggregation module."""
-    from .reparam import random_rephconv
-
     units: dict = {}
     for slot in rephms_layout(spec):
         if isinstance(slot, MixerSpec):

@@ -23,6 +23,7 @@ from .graph import (
     assemble,
     count_params_flops,
     export_graph,
+    rephms_spec,
     shape_infer,
     validate_model,
 )
@@ -273,7 +274,7 @@ def _cmd_verify(args) -> int:
     spec = _resolve_spec(args)
     graph = assemble(spec, _plan_from(args))
     pairs = sorted({
-        (node.attrs["kernel"], _expanded_width(node))
+        (node.attrs["kernel"], rephms_spec(node).expanded_width)
         for node in graph.nodes.values()
         if node.kind == "rephms"
     })
@@ -298,16 +299,6 @@ def _cmd_verify(args) -> int:
             lines.append(f"{bad} of {len(reports)} mixer configurations diverged")
         _emit(args, "\n".join(lines) + "\n")
     return 0 if passed else 1
-
-
-def _expanded_width(node) -> int:
-    from .blocks import RepHMSSpec
-
-    return RepHMSSpec(
-        in_ch=node.attrs["in_ch"], out_ch=node.attrs["out_ch"],
-        streams=node.attrs["streams"], blocks_per_stream=node.attrs["blocks"],
-        kernel=node.attrs["kernel"], expansion=node.attrs["expansion"],
-    ).expanded_width
 
 
 def _cmd_bench(args) -> int:

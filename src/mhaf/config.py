@@ -15,6 +15,7 @@ from importlib import resources
 import yaml
 
 from .errors import ConfigError
+from .ghfks import BACKBONE_LEVELS
 
 __all__ = [
     "ModelSpec",
@@ -205,7 +206,7 @@ def parse_config(text: str) -> ModelSpec:
 
 def _check_divisibility(spec: ModelSpec) -> None:
     """Scaled widths must split evenly into the configured stream counts."""
-    for level, c in zip(("p2", "p3", "p4", "p5"), spec.scaled_stage_channels):
+    for level, c in zip(BACKBONE_LEVELS, spec.scaled_stage_channels):
         if c % spec.backbone_streams != 0:
             raise ConfigError(
                 f"stage {level} width {c} (after scaling) is not divisible by "

@@ -168,9 +168,9 @@ def receptive_field(graph) -> dict[str, RFEntry]:
         elif kind == "upsample":
             (rf0, j0) = ins[0]
             rf, jump = rf0, j0 / 2
-        elif kind in ("bn", "silu", "head", "split"):
+        elif kind in ("bn", "silu", "head"):
             rf, jump = ins[0]
-        elif kind in ("concat", "add"):
+        elif kind == "concat":
             rf, jump = merged(node, ins)
         elif kind == "rephms":
             (rf0, j0) = ins[0]

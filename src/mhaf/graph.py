@@ -2,11 +2,12 @@
 parameter/FLOP bookkeeping, structural validation, and export.
 
 A graph is an ordered set of typed nodes (insertion order is topological by
-construction).  Primitive kinds (conv, bn, silu, pool, upsample, concat,
-split, add) carry their own semantics; composite kinds (rephms, saf, aaf)
-encapsulate a fusion node or aggregation module whose internal weighted
-slots are enumerated by the layout helpers in :mod:`mhaf.blocks`, so weight
-naming, initialization and bookkeeping all derive from one description.
+construction).  Primitive kinds (conv, bn, silu, pool, upsample, concat)
+carry their own semantics; composite kinds (rephms, saf, aaf) encapsulate a
+fusion node or aggregation module whose internal weighted slots are
+enumerated by the layout helpers in :mod:`mhaf.blocks`, so weight naming,
+initialization, binding, fusion and bookkeeping all derive from one
+description.
 
 Node naming is stable and positional (``backbone.p3``, ``neck.p4.shallow``,
 ``head.p5``), which weight stores rely on.
@@ -27,7 +28,7 @@ from .blocks import (
 )
 from .config import ModelSpec, spec_hash
 from .errors import GraphError, ShapeError
-from .ghfks import KernelPlan, default_plan
+from .ghfks import BACKBONE_LEVELS, NECK_LEVELS, KernelPlan, default_plan
 from .tensor import conv_output_size
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "Bookkeeping",
     "node_param_entries",
     "graph_param_entries",
+    "rephms_spec",
     "export_graph",
     "validate_model",
     "Check",
@@ -55,8 +57,6 @@ KINDS = frozenset(
         "pool",
         "upsample",
         "concat",
-        "split",
-        "add",
         "rephms",
         "saf",
         "aaf",
@@ -64,8 +64,6 @@ KINDS = frozenset(
     }
 )
 
-BACKBONE_LEVELS = ("p2", "p3", "p4", "p5")
-NECK_LEVELS = ("p3", "p4", "p5")
 HEAD_STRIDES = {"p3": 8, "p4": 16, "p5": 32}
 
 
@@ -119,7 +117,8 @@ class ModelGraph:
 # assembly
 
 
-def _rephms_spec(node: Node) -> RepHMSSpec:
+def rephms_spec(node: Node) -> RepHMSSpec:
+    """The shape contract of a ``rephms`` node, from its attributes."""
     a = node.attrs
     return RepHMSSpec(
         in_ch=a["in_ch"],
@@ -182,7 +181,7 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
             in_ch=in_ch, out_ch=out_ch, streams=streams, blocks=blocks,
             kernel=kernel, expansion=spec.expansion,
         )
-        _rephms_spec(graph.node(name))  # surface bad stream splits right here
+        rephms_spec(graph.node(name))  # surface bad stream splits right here
         return name
 
     for i, level in enumerate(BACKBONE_LEVELS):
@@ -367,22 +366,6 @@ def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int,
                         f"{s[1:]}, expected {(h, wd)}"
                     )
             shape = (sum(s[0] for s in ins), h, wd)
-        elif kind == "split":
-            c, h, wd = ins[0]
-            parts = node.attrs["parts"]
-            if c % parts:
-                raise ShapeError(
-                    f"node '{node.name}' splits {c} channels into {parts} parts"
-                )
-            shape = (c // parts, h, wd)
-        elif kind == "add":
-            for i, s in enumerate(ins):
-                if s != ins[0]:
-                    raise ShapeError(
-                        f"node '{node.name}' add input {i} has shape {s}, "
-                        f"expected {ins[0]}"
-                    )
-            shape = ins[0]
         elif kind == "rephms":
             c, h, wd = ins[0]
             if c != node.attrs["in_ch"]:
@@ -528,7 +511,7 @@ def _mixer_entries(prefix: str, mixer: MixerSpec, form: str) -> list[ParamEntry]
 def node_slots(node: Node) -> list[ConvUnitSpec | MixerSpec]:
     """Weighted slots inside a composite node (empty for primitives)."""
     if node.kind == "rephms":
-        return rephms_layout(_rephms_spec(node))
+        return rephms_layout(rephms_spec(node))
     if node.kind == "saf":
         return saf_layout(node.attrs["same_ch"], node.attrs["above_ch"])
     if node.kind == "aaf":

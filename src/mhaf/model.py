@@ -9,17 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    aaf_fuse,
-    deploy_conv_unit,
-    deploy_rephms,
-    rephms_forward,
-    saf_fuse,
-    ConvUnit,
-    MixerSpec,
-)
+from .blocks import aaf_fuse, fold_slot, rephms_forward, saf_fuse
 from .errors import NumericError, ShapeError, StateError
-from .graph import ModelGraph, Node, check_input_size, node_slots
+from .graph import ModelGraph, Node, check_input_size, node_param_entries
 from .reparam import fuse_conv_bn
 from .tensor import (
     avgpool2d,
@@ -29,10 +21,9 @@ from .tensor import (
     conv2d_fast,
     conv2d_naive,
     silu,
-    split_channels,
     upsample2x,
 )
-from .weights import WeightStore, bind_node_weights, validate_store
+from .weights import WeightStore, bind_node_weights, bind_slots, validate_store
 
 __all__ = ["forward", "fuse_model", "FusionOutcome", "benchmark_forward", "BenchResult"]
 
@@ -51,13 +42,6 @@ def _eval_node(node: Node, ins: list[np.ndarray], bound, conv_fn) -> np.ndarray:
         return upsample2x(ins[0])
     if kind == "concat":
         return concat_channels(ins)
-    if kind == "split":
-        return split_channels(ins[0], node.attrs["parts"])[node.attrs["index"]]
-    if kind == "add":
-        out = ins[0]
-        for x in ins[1:]:
-            out = out + x
-        return out
     if kind == "rephms":
         return rephms_forward(ins[0], bound)
     if kind in ("saf", "aaf"):
@@ -148,9 +132,11 @@ def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
     """Convert a training-form model to deployed form.
 
     Standalone conv+BN node pairs collapse into bias-carrying convs (the BN
-    node disappears from the graph); composite nodes keep their place but
-    their internal BNs fold away and multi-branch mixers merge into single
-    kernels.  The computed function is preserved up to float rounding.
+    node disappears from the graph); composite nodes keep their place and
+    each weighted slot folds into one kernel (a unit's BN into its conv, a
+    mixer's branches merged).  Deployed entry names come from the fused
+    node's own entry list.  The computed function is preserved up to float
+    rounding.
     """
     if graph.form != "training":
         raise StateError("model is already in deployed form")
@@ -168,7 +154,6 @@ def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
                     f"bn node '{node.name}' does not follow a conv; cannot fuse"
                 )
 
-    rename = {bn: conv for bn, conv in bn_after_conv.items()}
     conv_to_bn = {conv: bn for bn, conv in bn_after_conv.items()}
 
     fused_graph = ModelGraph(form="deployed", meta=dict(graph.meta))
@@ -181,7 +166,6 @@ def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
     for node in graph:
         if node.kind == "bn":
             continue
-        inputs = tuple(rename.get(i, i) for i in node.inputs)
         attrs = dict(node.attrs)
         if node.kind == "conv":
             if node.name not in conv_to_bn:
@@ -189,23 +173,21 @@ def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
                     f"conv node '{node.name}' has no trailing bn to fold"
                 )
             attrs["bias"] = True
-        fused_graph.add(node.name, node.kind, inputs, **attrs)
-
-        new = fused_graph.node(node.name)
-        if node.kind == "conv":
-            kernel = bind_node_weights(node, store, "training")
-            bn = bind_node_weights(graph.node(conv_to_bn[node.name]), store, "training")
-            folded = fuse_conv_bn(kernel, bn)
-            fused_store.entries[f"{node.name}.weight"] = folded.weights
-            fused_store.entries[f"{node.name}.bias"] = folded.bias
-        elif node.kind == "rephms":
-            deployed = deploy_rephms(bind_node_weights(node, store, "training"))
-            _emit_rephms(fused_store, new, deployed)
-        elif node.kind in ("saf", "aaf"):
-            bound = bind_node_weights(node, store, "training")
-            for slot in node_slots(node):
-                unit = getattr(bound, slot.path)
-                _emit_unit(fused_store, f"{node.name}.{slot.path}", deploy_conv_unit(unit))
+            bn = graph.node(conv_to_bn[node.name])
+            kernels = [
+                fuse_conv_bn(
+                    bind_node_weights(node, store, "training"),
+                    bind_node_weights(bn, store, "training"),
+                )
+            ]
+        else:
+            kernels = [fold_slot(u) for u in bind_slots(node, store, "training").values()]
+        inputs = tuple(bn_after_conv.get(i, i) for i in node.inputs)
+        fused = fused_graph.add(node.name, node.kind, inputs, **attrs)
+        # each kernel's weight and bias fill the fused node's next two entries
+        arrays = [a for k in kernels for a in (k.weights, k.bias)]
+        for entry, arr in zip(node_param_entries(fused, "deployed"), arrays, strict=True):
+            fused_store.entries[entry.name] = arr
 
     fused_graph.outputs = graph.outputs
     validate_store(fused_graph, fused_store)
@@ -217,33 +199,6 @@ def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
         params_before=params_before,
         params_after=params_after,
     )
-
-
-def _emit_unit(store: WeightStore, prefix: str, unit: ConvUnit) -> None:
-    store.entries[f"{prefix}.conv.weight"] = unit.kernel.weights
-    store.entries[f"{prefix}.conv.bias"] = unit.kernel.bias
-
-
-def _emit_rephms(store: WeightStore, node: Node, deployed) -> None:
-    from .blocks import rephms_layout
-    from .graph import _rephms_spec
-
-    units = {"entry": deployed.entry, "exit": deployed.exit}
-    for si, blocks in enumerate(deployed.streams, start=2):
-        for bi, block in enumerate(blocks, start=1):
-            base = f"s{si}.b{bi}"
-            units[f"{base}.expand"] = block.expand
-            units[f"{base}.mixer"] = block.mixer
-            units[f"{base}.pw"] = block.pw
-            units[f"{base}.proj"] = block.proj
-    for slot in rephms_layout(_rephms_spec(node)):
-        prefix = f"{node.name}.{slot.path}"
-        unit = units[slot.path]
-        if isinstance(slot, MixerSpec):
-            store.entries[f"{prefix}.fused.weight"] = unit.fused.weights
-            store.entries[f"{prefix}.fused.bias"] = unit.fused.bias
-        else:
-            _emit_unit(store, prefix, unit)
 
 
 @dataclass

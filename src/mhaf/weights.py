@@ -33,7 +33,7 @@ from .blocks import (
     rephms_from_units,
 )
 from .errors import ShapeError, StateError, WeightFileError
-from .graph import ModelGraph, Node, graph_param_entries, node_slots
+from .graph import ModelGraph, Node, graph_param_entries, node_slots, rephms_spec
 from .reparam import RepHConvWeights
 from .tensor import BNParams, ConvKernel
 
@@ -41,6 +41,8 @@ __all__ = [
     "WeightStore",
     "init_weights",
     "validate_store",
+    "bind_slot",
+    "bind_slots",
     "bind_node_weights",
     "save_weights",
     "load_weights",
@@ -127,49 +129,53 @@ def validate_store(graph: ModelGraph, store: WeightStore) -> None:
 # binding flat entries into structured block weights
 
 
-def _bind_unit(store: WeightStore, prefix: str, slot: ConvUnitSpec, form: str) -> ConvUnit:
-    weights = store[f"{prefix}.conv.weight"]
-    if form == "deployed":
-        kernel = ConvKernel(
-            weights=weights,
-            bias=store[f"{prefix}.conv.bias"],
-            stride=slot.stride,
-            groups=slot.groups,
-        )
-        return ConvUnit(kernel=kernel, bn=None, act=slot.act)
-    kernel = ConvKernel(weights=weights, stride=slot.stride, groups=slot.groups)
-    bn = BNParams(
-        mean=store[f"{prefix}.bn.mean"],
-        var=store[f"{prefix}.bn.var"],
-        gamma=store[f"{prefix}.bn.gamma"],
-        beta=store[f"{prefix}.bn.beta"],
+def _bind_bn(store: WeightStore, prefix: str) -> BNParams:
+    return BNParams(
+        mean=store[f"{prefix}.mean"],
+        var=store[f"{prefix}.var"],
+        gamma=store[f"{prefix}.gamma"],
+        beta=store[f"{prefix}.beta"],
     )
+
+
+def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, form: str):
+    """Materialize one weighted slot of a composite node, whose entries are
+    named ``prefix.*``: a ConvUnit for a conv-unit slot, RepHConvWeights for
+    a mixer slot, each in the given form."""
+    if isinstance(slot, MixerSpec):
+        spec = slot.spec
+        if form == "deployed":
+            fused = ConvKernel(
+                weights=store[f"{prefix}.fused.weight"],
+                bias=store[f"{prefix}.fused.bias"],
+                stride=1,
+                groups=spec.channels,
+            )
+            return RepHConvWeights(spec=spec, fused=fused)
+        branches = []
+        for k in spec.all_kernels:
+            w = store[f"{prefix}.k{k}.conv.weight"]
+            kernel = ConvKernel(weights=w, stride=1, groups=spec.channels)
+            branches.append((kernel, _bind_bn(store, f"{prefix}.k{k}.bn")))
+        return RepHConvWeights(spec=spec, branches=branches)
+    deployed = form == "deployed"
+    kernel = ConvKernel(
+        weights=store[f"{prefix}.conv.weight"],
+        bias=store[f"{prefix}.conv.bias"] if deployed else None,
+        stride=slot.stride,
+        groups=slot.groups,
+    )
+    bn = None if deployed else _bind_bn(store, f"{prefix}.bn")
     return ConvUnit(kernel=kernel, bn=bn, act=slot.act)
 
 
-def _bind_mixer(store: WeightStore, prefix: str, mixer: MixerSpec, form: str) -> RepHConvWeights:
-    spec = mixer.spec
-    if form == "deployed":
-        fused = ConvKernel(
-            weights=store[f"{prefix}.fused.weight"],
-            bias=store[f"{prefix}.fused.bias"],
-            stride=1,
-            groups=spec.channels,
-        )
-        return RepHConvWeights(spec=spec, fused=fused)
-    branches = []
-    for k in spec.all_kernels:
-        kernel = ConvKernel(
-            weights=store[f"{prefix}.k{k}.conv.weight"], stride=1, groups=spec.channels
-        )
-        bn = BNParams(
-            mean=store[f"{prefix}.k{k}.bn.mean"],
-            var=store[f"{prefix}.k{k}.bn.var"],
-            gamma=store[f"{prefix}.k{k}.bn.gamma"],
-            beta=store[f"{prefix}.k{k}.bn.beta"],
-        )
-        branches.append((kernel, bn))
-    return RepHConvWeights(spec=spec, branches=branches)
+def bind_slots(node: Node, store: WeightStore, form: str) -> dict:
+    """{slot path: :func:`bind_slot` result} for every weighted slot of a
+    composite node, in slot order (empty for primitive kinds)."""
+    return {
+        slot.path: bind_slot(store, f"{node.name}.{slot.path}", slot, form)
+        for slot in node_slots(node)
+    }
 
 
 def bind_node_weights(node: Node, store: WeightStore, form: str):
@@ -186,37 +192,13 @@ def bind_node_weights(node: Node, store: WeightStore, form: str):
             groups=a["groups"],
         )
     if node.kind == "bn":
-        return BNParams(
-            mean=store[f"{node.name}.mean"],
-            var=store[f"{node.name}.var"],
-            gamma=store[f"{node.name}.gamma"],
-            beta=store[f"{node.name}.beta"],
-        )
+        return _bind_bn(store, node.name)
     if node.kind == "rephms":
-        from .graph import _rephms_spec
-
-        units = {}
-        for slot in node_slots(node):
-            prefix = f"{node.name}.{slot.path}"
-            if isinstance(slot, MixerSpec):
-                units[slot.path] = _bind_mixer(store, prefix, slot, form)
-            else:
-                units[slot.path] = _bind_unit(store, prefix, slot, form)
-        return rephms_from_units(_rephms_spec(node), units)
+        return rephms_from_units(rephms_spec(node), bind_slots(node, store, form))
     if node.kind == "saf":
-        slots = {s.path: s for s in node_slots(node)}
-        ctrl = None
-        if "ctrl" in slots:
-            ctrl = _bind_unit(store, f"{node.name}.ctrl", slots["ctrl"], form)
-        return SAFWeights(ctrl=ctrl)
+        return SAFWeights(**bind_slots(node, store, form))
     if node.kind == "aaf":
-        slots = {s.path: s for s in node_slots(node)}
-        down = ctrl = None
-        if "down" in slots:
-            down = _bind_unit(store, f"{node.name}.down", slots["down"], form)
-        if "ctrl" in slots:
-            ctrl = _bind_unit(store, f"{node.name}.ctrl", slots["ctrl"], form)
-        return AAFWeights(down=down, ctrl=ctrl)
+        return AAFWeights(**bind_slots(node, store, form))
     return None
 
 

@@ -38,6 +38,14 @@ class TestGraphContainer:
         with pytest.raises(GraphError, match="kind"):
             g.add("x", "dense", ())
 
+    @pytest.mark.parametrize("kind", ["split", "add"])
+    def test_removed_kinds_rejected(self, kind):
+        # assembly never emitted these, so they are not node kinds
+        g = ModelGraph()
+        g.add("x", "input", (), channels=3)
+        with pytest.raises(GraphError, match="kind"):
+            g.add("y", kind, ("x",))
+
 
 class TestAssembly:
     def test_every_preset_assembles(self):

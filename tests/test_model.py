@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mhaf.config import load_preset
+from mhaf.blocks import ConvUnit, deploy_conv_unit, deploy_rephms
+from mhaf.config import ModelSpec, load_preset, parse_config, serialize_config
 from mhaf.errors import NumericError, ShapeError, StateError
-from mhaf.graph import assemble, count_params_flops
+from mhaf.ghfks import default_plan, uniform_plan
+from mhaf.graph import assemble, count_params_flops, graph_param_entries, shape_infer
 from mhaf.model import benchmark_forward, forward, fuse_model
-from mhaf.weights import init_weights, load_weights, save_weights
+from mhaf.reparam import fuse_conv_bn
+from mhaf.weights import bind_node_weights, init_weights, load_weights, save_weights
 
 from oracles import normalized_max_error
 
@@ -126,6 +130,120 @@ class TestFusion:
         b = forward(outcome.graph, loaded, x)
         for level in a:
             assert np.array_equal(a[level], b[level])
+
+
+def non_identity_bn_store(graph, seed=0):
+    """Seeded weights whose batchnorms are not identity transforms: mean and
+    beta ~ N(0, 0.1), var and gamma ~ U(0.8, 1.25)."""
+    store = init_weights(graph, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    for entry in graph_param_entries(graph):
+        if entry.kind in ("bn_mean", "bn_beta"):
+            arr = rng.normal(0.0, 0.1, entry.shape)
+        elif entry.kind in ("bn_var", "bn_gamma"):
+            arr = rng.uniform(0.8, 1.25, entry.shape)
+        else:
+            continue
+        store.entries[entry.name] = arr.astype(np.float32)
+    return store
+
+
+def deployed_entries_by_hand(graph, store):
+    """{entry name: array} of the deployed form, spelled out here from the
+    structured fold path (fuse_conv_bn, deploy_conv_unit, deploy_rephms over
+    bind_node_weights) rather than from the graph's entry enumeration."""
+    out = {}
+
+    def emit(prefix, unit):
+        if isinstance(unit, ConvUnit):
+            out[f"{prefix}.conv.weight"] = unit.kernel.weights
+            out[f"{prefix}.conv.bias"] = unit.kernel.bias
+        else:
+            out[f"{prefix}.fused.weight"] = unit.fused.weights
+            out[f"{prefix}.fused.bias"] = unit.fused.bias
+
+    for node in graph:
+        bound = bind_node_weights(node, store, "training")
+        if node.kind == "conv":
+            (bn,) = [n for n in graph if n.inputs == (node.name,)]
+            folded = fuse_conv_bn(bound, bind_node_weights(bn, store, "training"))
+            out[f"{node.name}.weight"] = folded.weights
+            out[f"{node.name}.bias"] = folded.bias
+        elif node.kind == "rephms":
+            deployed = deploy_rephms(bound)
+            emit(f"{node.name}.entry", deployed.entry)
+            for s, blocks in enumerate(deployed.streams, start=2):
+                for b, block in enumerate(blocks, start=1):
+                    for part in ("expand", "mixer", "pw", "proj"):
+                        emit(f"{node.name}.s{s}.b{b}.{part}", getattr(block, part))
+            emit(f"{node.name}.exit", deployed.exit)
+        elif node.kind in ("saf", "aaf"):
+            for slot in ("down", "ctrl"):
+                unit = getattr(bound, slot, None)
+                if unit is not None:
+                    emit(f"{node.name}.{slot}", deploy_conv_unit(unit))
+    return out
+
+
+class TestFusionOracle:
+    @pytest.mark.parametrize("scale", ["nano", "small"])
+    def test_fused_entries_match_structured_fold_bit_for_bit(self, scale):
+        graph = assemble(load_preset(scale))
+        store = non_identity_bn_store(graph, seed=7)
+        fused = fuse_model(graph, store).store
+        expected = deployed_entries_by_hand(graph, store)
+        assert list(fused.entries) == list(expected)
+        for name, want in expected.items():
+            got = fused.entries[name]
+            assert got.dtype == want.dtype == np.float32, name
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+@st.composite
+def model_specs(draw):
+    """Valid specs: every scaled width is a multiple of 8 * its stream count,
+    so it splits evenly into the streams."""
+    width = draw(st.sampled_from((0.5, 1.0)))
+    bb_streams, neck_streams = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+
+    def base(streams, most):
+        return int(8 * streams * draw(st.integers(1, most)) / width)
+
+    spec = ModelSpec(
+        scale="drawn",
+        width=width,
+        depth=draw(st.sampled_from((0.33, 1.0))),
+        input_size=64,
+        stage_channels=tuple(base(bb_streams, 3) for _ in range(4)),
+        neck_channels=base(neck_streams, 2),
+        backbone_streams=bb_streams,
+        backbone_blocks=draw(st.integers(1, 2)),
+        neck_streams=neck_streams,
+        neck_blocks=draw(st.integers(1, 2)),
+        expansion=draw(st.sampled_from((0.5, 1.0, 2.0))),
+    )
+    return parse_config(serialize_config(spec))  # validates the draw
+
+
+class TestShapeProperty:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        spec=model_specs(),
+        plan=st.one_of(
+            st.just(default_plan()),
+            st.sampled_from((3, 5, 7, 9)).map(uniform_plan),
+        ),
+        size=st.sampled_from((32, 64, 96, 128)),
+    )
+    def test_shape_infer_agrees_with_forward(self, spec, plan, size):
+        graph = assemble(spec, plan)
+        shapes = shape_infer(graph, size)
+        x = np.random.default_rng(size).standard_normal((1, 3, size, size))
+        out = forward(graph, init_weights(graph, seed=0), x.astype(np.float32))
+        assert {lv: y.shape for lv, y in out.items()} == {
+            graph.node(name).attrs["level"]: (1, *shapes[name]) for name in graph.outputs
+        }
 
 
 class TestBenchmark:
