@@ -11,7 +11,14 @@ Container layout (all integers little-endian):
 
 Store-level metadata (form, seed, config digest) rides along as a reserved
 entry named ``__meta__`` whose payload encodes a UTF-8 string one byte per
-float, keeping the container format uniform.
+float, keeping the container format uniform; a store may not use that name.
+
+The checksum runs lane-parallel: the payload is cut into ``LANES`` equal
+lanes, all lanes run slice-by-8 at once as numpy ``uint64`` vectors, and the
+lane CRCs are joined by a GF(2) "append zero bytes" map, as zlib's
+``crc32_combine`` does.  The result is the plain CRC-64/XZ, so the format is
+unchanged.  Loading verifies it, then copies each entry once into its own
+aligned, writable float32 array.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
+import sys
 import uuid
 from dataclasses import dataclass, field
 
@@ -223,34 +231,103 @@ def _build_tables() -> list[list[int]]:
 
 _TABLES = _build_tables()
 _MASK = 0xFFFFFFFFFFFFFFFF
+# Lanes of the vector path; one lane block is 8 * LANES bytes, one word per
+# lane.  Inputs shorter than a block, and the tail past the last whole
+# block, take the scalar loop.
+LANES = 4096
+# A linear map on the 64-bit register in table form: row j holds the images
+# of the 256 values of the register's byte j (least significant first).
+# The slice-by-8 step is such a map, the one that appends 8 zero bytes.
+_STEP = np.array(_TABLES[::-1], dtype=np.uint64)
+_UNIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+# column of byte j (least significant first) in a uint8 view of a uint64
+_BYTE_COL = range(8) if sys.byteorder == "little" else range(7, -1, -1)
 
 
-def crc64_xz(data: bytes) -> int:
-    """CRC-64/XZ (reflected, poly 0x42F0E1EBA9EA3693, init/xorout all-ones).
+def _apply(op: np.ndarray, regs: np.ndarray) -> np.ndarray:
+    """Image of each register in ``regs`` (contiguous uint64) under ``op``."""
+    columns = regs.view(np.uint8).reshape(regs.size, 8)
+    out = op[0].take(columns[:, _BYTE_COL[0]])
+    for j in range(1, 8):
+        out ^= op[j].take(columns[:, _BYTE_COL[j]])
+    return out
 
-    Slice-by-8 implementation; the check value of b"123456789" is
-    0x995DC9BBDF1939FA.
-    """
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Table form of the map ``a`` after ``b``."""
+    images = _apply(a, _apply(b, _UNIT)).reshape(8, 8)
+    op = np.zeros((8, 256), dtype=np.uint64)
+    for bit in range(8):
+        op[:, 1 << bit : 2 << bit] = op[:, : 1 << bit] ^ images[:, bit : bit + 1]
+    return op
+
+
+def _crc_scalar(crc: int, data: np.ndarray) -> int:
+    """Slice-by-8 over the bytes ``data`` from the raw register ``crc``."""
     t0, t1, t2, t3, t4, t5, t6, t7 = _TABLES
-    crc = _MASK
-    n8 = len(data) - len(data) % 8
-    if n8:
-        words = np.frombuffer(data[:n8], dtype="<u8").tolist()
-        for word in words:
-            crc ^= word
-            crc = (
-                t7[crc & 0xFF]
-                ^ t6[(crc >> 8) & 0xFF]
-                ^ t5[(crc >> 16) & 0xFF]
-                ^ t4[(crc >> 24) & 0xFF]
-                ^ t3[(crc >> 32) & 0xFF]
-                ^ t2[(crc >> 40) & 0xFF]
-                ^ t1[(crc >> 48) & 0xFF]
-                ^ t0[(crc >> 56) & 0xFF]
-            )
-    for b in data[n8:]:
+    n8 = data.size - data.size % 8
+    for word in data[:n8].view("<u8").tolist():
+        crc ^= word
+        crc = (
+            t7[crc & 0xFF]
+            ^ t6[(crc >> 8) & 0xFF]
+            ^ t5[(crc >> 16) & 0xFF]
+            ^ t4[(crc >> 24) & 0xFF]
+            ^ t3[(crc >> 32) & 0xFF]
+            ^ t2[(crc >> 40) & 0xFF]
+            ^ t1[(crc >> 48) & 0xFF]
+            ^ t0[(crc >> 56) & 0xFF]
+        )
+    for b in data[n8:].tolist():
         crc = t0[(crc ^ b) & 0xFF] ^ (crc >> 8)
-    return crc ^ _MASK
+    return crc
+
+
+def _crc_lanes(data: np.ndarray) -> int:
+    """Register after ``data`` (a whole number of lane blocks) from the
+    all-ones init: slice-by-8 on every lane at once, then a pairwise fold."""
+    rows = data.size // (8 * LANES)
+    words = np.ascontiguousarray(
+        data.view("<u8").reshape(LANES, rows).T, dtype=np.uint64
+    )
+    regs = np.zeros(LANES, dtype=np.uint64)
+    regs[0] = _MASK  # every other lane runs from zero: a raw, linear CRC
+    for row in words:
+        regs ^= row
+        regs = _apply(_STEP, regs)
+    # reg(A + B) = Z(reg(A)) ^ reg0(B), Z appending len(B) zero bytes
+    zeros, power, n = None, _STEP, rows
+    while n:
+        if n & 1:
+            zeros = power if zeros is None else _compose(power, zeros)
+        n >>= 1
+        if n:
+            power = _compose(power, power)
+    while regs.size > 1:
+        pairs = regs.reshape(-1, 2)
+        regs = _apply(zeros, np.ascontiguousarray(pairs[:, 0])) ^ pairs[:, 1]
+        if regs.size > 1:
+            zeros = _compose(zeros, zeros)
+    return int(regs[0])
+
+
+def crc64_xz(data) -> int:
+    """CRC-64/XZ (reflected, poly 0x42F0E1EBA9EA3693, init/xorout all-ones)
+    of any bytes-like object; the check value of b"123456789" is
+    0x995DC9BBDF1939FA.
+
+    The whole lane blocks are split into ``LANES`` equal lanes that run
+    slice-by-8 together as numpy ``uint64`` vectors, only lane 0 seeded
+    with the init.  CRCs are linear, so adjacent lanes fold pairwise with
+    the map that appends one lane's length of zero bytes (the technique of
+    zlib's ``crc32_combine``), squared once per level of the fold.  The
+    remainder, and any input shorter than one block, takes the scalar
+    slice-by-8 loop.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    split = buf.size - buf.size % (8 * LANES)
+    crc = _crc_lanes(buf[:split]) if split else _MASK
+    return _crc_scalar(crc, buf[split:]) ^ _MASK
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +375,10 @@ def save_weights(store: WeightStore, path: str) -> None:
     then moves over it, so an existing file at ``path`` is either left
     untouched or replaced whole; the temporary file is removed on failure.
     """
+    if META_ENTRY in store.entries:
+        raise WeightFileError(
+            f"entry name '{META_ENTRY}' is reserved for the store's metadata"
+        )
     buf = bytearray()
     buf += MAGIC
     buf += struct.pack("<I", VERSION)
@@ -305,7 +386,7 @@ def save_weights(store: WeightStore, path: str) -> None:
     _pack_entry(buf, META_ENTRY, _encode_meta(store))
     for name, arr in store.entries.items():
         _pack_entry(buf, name, arr)
-    buf += struct.pack("<Q", crc64_xz(bytes(buf)))
+    buf += struct.pack("<Q", crc64_xz(buf))
     # a named temp file rather than tempfile.mkstemp, whose 0600 mode would
     # survive the rename; open() keeps the usual umask-derived permissions
     directory, name = os.path.split(os.path.abspath(path))
@@ -321,15 +402,19 @@ def save_weights(store: WeightStore, path: str) -> None:
 
 
 def load_weights(path: str) -> WeightStore:
-    """Read a container, verifying the checksum before trusting any entry."""
+    """Read a container, verifying the checksum before trusting any entry.
+
+    Each entry is copied once out of the file's bytes, so the loaded arrays
+    are aligned, writable and independent of one another.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(MAGIC) + 4 + 4 + 8:
         raise WeightFileError(f"'{path}' is too short to be a weight file")
     if raw[:4] != MAGIC:
         raise WeightFileError(f"'{path}' lacks the weight-file magic")
-    body, trailer = raw[:-8], raw[-8:]
-    (stated,) = struct.unpack("<Q", trailer)
+    body = memoryview(raw)[:-8]
+    (stated,) = struct.unpack_from("<Q", raw, len(body))
     actual = crc64_xz(body)
     if stated != actual:
         raise WeightFileError(
@@ -342,11 +427,12 @@ def load_weights(path: str) -> WeightStore:
     (count,) = struct.unpack_from("<I", body, 8)
     offset = 12
     store = WeightStore(entries={})
+    seen = set()
     try:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", body, offset)
             offset += 2
-            name = body[offset : offset + name_len].decode("utf-8")
+            name = str(body[offset : offset + name_len], "utf-8")
             offset += name_len
             (rank,) = struct.unpack_from("<B", body, offset)
             offset += 1
@@ -357,12 +443,13 @@ def load_weights(path: str) -> WeightStore:
                 n *= d
             arr = np.frombuffer(body, dtype="<f4", count=n, offset=offset).reshape(dims)
             offset += 4 * n
+            if name in seen:
+                raise WeightFileError(f"duplicate entry '{name}' in '{path}'")
+            seen.add(name)
             if name == META_ENTRY:
                 _decode_meta(arr, store)
-            elif name in store.entries:
-                raise WeightFileError(f"duplicate entry '{name}' in '{path}'")
             else:
-                store.entries[name] = np.ascontiguousarray(arr, dtype=np.float32)
+                store.entries[name] = arr.astype(np.float32)
     except (struct.error, ValueError) as exc:
         raise WeightFileError(f"'{path}' is truncated or malformed: {exc}") from exc
     if offset != len(body):

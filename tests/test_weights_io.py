@@ -10,6 +10,7 @@ from mhaf.config import load_preset
 from mhaf.errors import ShapeError, StateError, WeightFileError
 from mhaf.graph import assemble
 from mhaf.weights import (
+    LANES,
     WeightStore,
     crc64_xz,
     init_weights,
@@ -72,6 +73,32 @@ class TestChecksum:
             mutated = bytearray(data)
             mutated[i] ^= 0x01
             assert crc64_xz(bytes(mutated)) != base
+
+
+class TestLaneChecksum:
+    """Lengths that reach the lane-parallel path, against the bitwise oracle."""
+
+    BLOCK = 8 * LANES  # one word per lane
+
+    def test_lane_block_boundaries(self):
+        rng = np.random.default_rng(11)
+        block = self.BLOCK
+        for length in (block - 1, block, block + 1, block + 7, 3 * block + 8 * 5 + 3):
+            data = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+            assert crc64_xz(data) == crc64_bitwise(data), length
+
+    def test_any_bytes_like_input(self):
+        rng = np.random.default_rng(12)
+        data = rng.integers(0, 256, size=2 * self.BLOCK + 20, dtype=np.uint8).tobytes()
+        expected = crc64_bitwise(data[1:])
+        assert crc64_xz(bytearray(data[1:])) == expected
+        # an odd offset leaves the words unaligned in memory
+        assert crc64_xz(memoryview(data)[1:]) == expected
+
+    def test_all_ones_and_zeros_blocks(self):
+        for fill in (b"\x00", b"\xff"):
+            data = fill * (2 * self.BLOCK)
+            assert crc64_xz(data) == crc64_bitwise(data)
 
 
 class TestInitialization:
@@ -161,6 +188,32 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["w.mhwt"]
 
 
+    def test_loaded_entries_are_writable_aligned_and_independent(self, tmp_path):
+        path = tmp_path / "w.mhwt"
+        save_weights(small_store(), path)
+        loaded = load_weights(path)
+        for arr in loaded.entries.values():
+            assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+            # each entry owns its memory: no view into the file's bytes or
+            # into another entry
+            assert arr.base is None and arr.flags.owndata
+        name = "stem.1.conv.weight"
+        before = {k: v.copy() for k, v in loaded.entries.items() if k != name}
+        loaded.entries[name] += 1.0
+        assert all(np.array_equal(loaded.entries[k], v) for k, v in before.items())
+        assert np.array_equal(loaded.entries[name], small_store()[name] + 1.0)
+
+    def test_reserved_entry_name_rejected_at_save(self, tmp_path):
+        path = tmp_path / "meta.mhwt"
+        store = WeightStore(entries={
+            "__meta__": np.zeros(3, dtype=np.float32),
+            "x": np.ones(2, dtype=np.float32),
+        })
+        with pytest.raises(WeightFileError, match="__meta__"):
+            save_weights(store, path)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDamageDetection:
     def test_flipped_byte_is_caught(self, tmp_path):
         path = tmp_path / "w.mhwt"
@@ -202,6 +255,22 @@ class TestDamageDetection:
         path.write_bytes(b"MHWT\x01")
         with pytest.raises(WeightFileError, match="too short"):
             load_weights(path)
+
+
+    def test_single_byte_damage_in_multi_mb_payload(self, tmp_path):
+        path = tmp_path / "big.mhwt"
+        rng = np.random.default_rng(13)
+        big = rng.standard_normal((3, 1 << 19)).astype(np.float32)  # 6 MB
+        save_weights(WeightStore(entries={"big": big}), path)
+        raw = path.read_bytes()
+        assert np.array_equal(load_weights(path).entries["big"], big)
+        payload_start = len(raw) - 8 - big.nbytes
+        for pos in (payload_start, payload_start + big.nbytes // 2, len(raw) - 9):
+            damaged = bytearray(raw)
+            damaged[pos] ^= 0x10
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(WeightFileError, match="checksum"):
+                load_weights(path)
 
 
 class TestFormatContract:
@@ -264,3 +333,20 @@ class TestFormatContract:
         store = WeightStore(entries={"x" * 70_000: np.zeros(1, dtype=np.float32)})
         with pytest.raises(WeightFileError, match="name too long"):
             save_weights(store, tmp_path / "bad.mhwt")
+
+    def test_large_independently_written_file_loads(self, tmp_path):
+        # a payload of several lane blocks, checksummed by the bitwise oracle
+        path = tmp_path / "large.mhwt"
+        values = np.random.default_rng(14).standard_normal((5, 4000)).astype(np.float32)
+        assert values.nbytes >= 64 * 1024
+        craft_file(path, [("a", [1.0, 2.0, 3.0]), ("big", values)])
+        store = load_weights(path)
+        assert np.array_equal(store.entries["big"], values)
+        assert np.array_equal(store.entries["a"], [1.0, 2.0, 3.0])
+
+    def test_second_meta_entry_rejected(self, tmp_path):
+        meta = np.frombuffer(b"form=training", dtype=np.uint8).astype(np.float32)
+        path = tmp_path / "meta2.mhwt"
+        craft_file(path, [("__meta__", meta), ("w", [1.0]), ("__meta__", meta)])
+        with pytest.raises(WeightFileError, match="duplicate entry '__meta__'"):
+            load_weights(path)
