@@ -5,9 +5,9 @@ Two independent convolution routes
 Every higher-level guarantee in this package bottoms out at conv2d.  To keep
 that foundation trustworthy there are two implementations: ``conv2d_naive``,
 a transparent loop kept close to the textbook definition, and
-``conv2d_fast``, which dispatches to im2col/matmul, a pointwise einsum, or a
-channels-last shift-and-accumulate loop for depthwise kernels.  This script
-runs both on the same inputs and prints how far apart they land.
+``conv2d_fast``, which runs depthwise kernels as a channels-last
+shift-and-accumulate loop and every other conv as one grouped im2col matmul.
+This script runs both on the same inputs and prints how far apart they land.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ compare("dense 3x3", x, ConvKernel(weights=w))
 # stride 2 halves the resolution; padding stays (k-1)//2
 compare("dense 3x3 stride 2", x, ConvKernel(weights=w, stride=2))
 
-# 1x1 convs are channel mixers; the fast path becomes a single einsum
+# 1x1 convs are channel mixers; their im2col columns are the input itself
 w1 = (rng.standard_normal((4, 8, 1, 1)) * 0.5).astype(np.float32)
 compare("pointwise 1x1", x, ConvKernel(weights=w1))
 

@@ -30,7 +30,7 @@ from .graph import (
 from .model import benchmark_forward, forward, fuse_model
 from .records import format_records
 from .reparam import RepHConvSpec, verify_equivalence
-from .weights import init_weights, load_weights, save_weights, validate_store
+from .weights import init_weights, load_weights, save_weights
 
 __all__ = ["main"]
 
@@ -234,7 +234,6 @@ def _cmd_fuse(args) -> int:
         store = load_weights(args.weights)
     else:
         store = init_weights(graph, seed=args.seed)
-    validate_store(graph, store)
     outcome = fuse_model(graph, store)
     deviation = 0.0
     for x in _seeded_inputs(args.seed, args.trials, args.input):
@@ -308,7 +307,6 @@ def _cmd_bench(args) -> int:
         store = load_weights(args.weights)
     else:
         store = init_weights(graph, seed=args.seed)
-    validate_store(graph, store)
     x = next(_seeded_inputs(args.seed, 1, args.input))
     training = benchmark_forward(graph, store, x, "training", iterations=args.trials)
     outcome = fuse_model(graph, store)

@@ -571,27 +571,6 @@ class Bookkeeping:
         return self.params / 1e6
 
 
-def _node_macs(node: Node, form: str, shapes) -> int:
-    if node.kind == "conv":
-        a = node.attrs
-        c, h, w = shapes[node.name]
-        return a["out_ch"] * (a["in_ch"] // a["groups"]) * a["kernel"] ** 2 * h * w
-    if node.kind in ("rephms", "saf", "aaf"):
-        _, h, w = shapes[node.name]
-        macs = 0
-        for slot in node_slots(node):
-            if isinstance(slot, MixerSpec):
-                spec = slot.spec
-                if form == "deployed":
-                    macs += spec.channels * spec.main_kernel**2 * h * w
-                else:
-                    macs += sum(spec.channels * k**2 for k in spec.all_kernels) * h * w
-            else:
-                macs += slot.out_ch * (slot.in_ch // slot.groups) * slot.kernel**2 * h * w
-        return macs
-    return 0
-
-
 def count_params_flops(graph: ModelGraph, input_size=None) -> Bookkeeping:
     """Learnable parameters and inference FLOPs of the graph as it stands
     (training form counts every branch; deployed form counts merged convs).
@@ -601,8 +580,11 @@ def count_params_flops(graph: ModelGraph, input_size=None) -> Bookkeeping:
     total_p = 0
     total_f = 0
     for node in graph:
-        params = sum(e.size for e in node_param_entries(node, graph.form) if e.learnable)
-        flops = 2 * _node_macs(node, graph.form, shapes)
+        entries = node_param_entries(node, graph.form)
+        params = sum(e.size for e in entries if e.learnable)
+        # every conv of a node writes a map at the node's output resolution
+        _, h, w = shapes[node.name]
+        flops = 2 * h * w * sum(e.size for e in entries if e.kind == "conv_weight")
         per_node[node.name] = (params, flops)
         total_p += params
         total_f += flops

@@ -73,6 +73,10 @@ def forward(
     ``divisor``) are checked before any node runs.  Intermediate tensors are
     freed as soon as their last consumer has run; every node output is
     checked for finiteness so numerical blow-ups name their node.
+
+    ``use_naive_conv`` runs the graph's own ``conv`` nodes through
+    :func:`conv2d_naive`; convolutions inside composite nodes (``rephms``,
+    ``saf``, ``aaf``) always take :func:`conv2d_fast`.
     """
     check_tensor4(x)
     validate_store(graph, store)
@@ -232,16 +236,15 @@ def benchmark_forward(
     label: str,
     warmups: int = 5,
     iterations: int = 31,
-    use_naive_conv: bool = False,
 ) -> BenchResult:
     """Median-of-N timing after warmup runs (median resists scheduler
     noise better than the mean)."""
     for _ in range(warmups):
-        forward(graph, store, x, use_naive_conv=use_naive_conv)
+        forward(graph, store, x)
     samples = []
     for _ in range(iterations):
         t0 = time.perf_counter()
-        forward(graph, store, x, use_naive_conv=use_naive_conv)
+        forward(graph, store, x)
         samples.append(time.perf_counter() - t0)
     return BenchResult(
         label=label,

@@ -18,7 +18,7 @@ numerical equivalence check used by tests and the command-line tool.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,19 +52,15 @@ class RepHConvSpec:
 
     channels: int
     main_kernel: int
-    branch_kernels: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        expected = branch_sizes(self.main_kernel)
-        if self.branch_kernels is None:
-            object.__setattr__(self, "branch_kernels", expected)
-        elif tuple(self.branch_kernels) != expected:
-            raise KernelError(
-                f"branch kernels for main size {self.main_kernel} must be "
-                f"{list(expected)}, got {list(self.branch_kernels)}"
-            )
+        branch_sizes(self.main_kernel)  # rejects an even or too small main kernel
         if self.channels < 1:
             raise KernelError(f"channels must be >= 1, got {self.channels}")
+
+    @property
+    def branch_kernels(self) -> tuple[int, ...]:
+        return branch_sizes(self.main_kernel)
 
     @property
     def all_kernels(self) -> tuple[int, ...]:

@@ -9,16 +9,16 @@ Conventions
   (:func:`conv2d_naive`) accumulates every output element in a fixed
   (kernel-row, kernel-col, input-channel) order, so repeated runs are
   bit-identical.  :func:`conv2d_fast` trades that fixed order for speed
-  (BLAS matmuls, and a channels-last shift-and-accumulate loop for
-  depthwise kernels) and is validated against the reference to a relative
-  tolerance.
+  and has two routes: a channels-last shift-and-accumulate loop for
+  depthwise kernels, and one grouped im2col matmul (BLAS) for every other
+  conv.  It is validated against the reference to a relative tolerance.
 * Spatial downsampling by pooling/striding always uses factor 2, matching
   the stage layout of the models built on top of these ops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -232,17 +232,22 @@ def conv2d_naive(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """View the padded input as (batch, C*k*k, oh*ow) patch columns."""
+def _im2col(
+    xp: np.ndarray, groups: int, k: int, stride: int, oh: int, ow: int
+) -> np.ndarray:
+    """Patch columns of the padded input, shaped (batch, groups,
+    C/groups*k*k, oh*ow).  For a stride-1 1x1 conv on a C-contiguous input
+    the columns are a view of ``xp``: nothing is copied."""
     b, c = xp.shape[:2]
+    cpg = c // groups
     sb, sc, sh, sw = xp.strides
     windows = as_strided(
         xp,
-        shape=(b, c, k, k, oh, ow),
-        strides=(sb, sc, sh, sw, sh * stride, sw * stride),
+        shape=(b, groups, cpg, k, k, oh, ow),
+        strides=(sb, sc * cpg, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    return np.ascontiguousarray(windows).reshape(b, c * k * k, oh * ow)
+    return np.ascontiguousarray(windows).reshape(b, groups, cpg * k * k, oh * ow)
 
 
 def _depthwise_channels_last(
@@ -282,11 +287,12 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """Fast convolution, numerically equivalent to :func:`conv2d_naive` up
     to float32 rounding.
 
-    Dispatches on kernel structure: 1x1 convs become a single matmul,
-    depthwise convs shift-and-accumulate over a channels-last copy of the
-    input (:func:`_depthwise_channels_last`), dense convs go through
-    im2col + matmul, and any remaining grouped case falls back to per-group
-    im2col.
+    Two routes.  Depthwise kernels (groups == in == out channels)
+    shift-and-accumulate over a channels-last copy of the input
+    (:func:`_depthwise_channels_last`).  Every other conv (pointwise, dense,
+    grouped, channel-multiplier depthwise, any stride or padding) is one
+    grouped matmul of the weights with im2col patch columns
+    (:func:`_im2col`).
     """
     oh, ow = _check_conv_args(x, kernel)
     b, cin = x.shape[:2]
@@ -295,34 +301,15 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     k, s, p = kernel.kernel_size, kernel.stride, kernel.padding
     w = kernel.weights
 
-    if k == 1 and g == 1:
-        xs = x[:, :, ::s, ::s] if s > 1 else x
-        if p:
-            xs = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))[:, :, ::s, ::s]
-        mat = w.reshape(cout, cin)
-        out = np.einsum("oc,bchw->bohw", mat, xs, optimize=True)
-    elif g == cin and cout == cin:
+    if g == cin == cout:
         out = _depthwise_channels_last(x, w, s, p, oh, ow)
         out += kernel.bias
         return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    elif g == 1:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols = _im2col(xp, k, s, oh, ow)
-        out = np.matmul(w.reshape(cout, -1)[None], cols).reshape(b, cout, oh, ow)
-    else:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cpg = cin // g
-        opg = cout // g
-        out = np.empty((b, cout, oh, ow), dtype=np.float32)
-        for gi in range(g):
-            cols = _im2col(xp[:, gi * cpg : (gi + 1) * cpg], k, s, oh, ow)
-            wmat = w[gi * opg : (gi + 1) * opg].reshape(opg, -1)
-            out[:, gi * opg : (gi + 1) * opg] = np.matmul(wmat[None], cols).reshape(
-                b, opg, oh, ow
-            )
-    out = out.astype(np.float32, copy=False)
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    cols = _im2col(xp, g, k, s, oh, ow)
+    out = np.matmul(w.reshape(g, cout // g, -1), cols).reshape(b, cout, oh, ow)
     out += kernel.bias[None, :, None, None]
-    return np.ascontiguousarray(out)
+    return out
 
 
 def batchnorm_infer(x: np.ndarray, bn: BNParams) -> np.ndarray:

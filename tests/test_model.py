@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mhaf.blocks
+import mhaf.model
+import mhaf.reparam
 from mhaf.blocks import ConvUnit, deploy_conv_unit, deploy_rephms
 from mhaf.config import ModelSpec, load_preset, parse_config, serialize_config
 from mhaf.errors import NumericError, ShapeError, StateError
@@ -11,6 +14,7 @@ from mhaf.ghfks import default_plan, uniform_plan
 from mhaf.graph import assemble, count_params_flops, graph_param_entries, shape_infer
 from mhaf.model import benchmark_forward, forward, fuse_model
 from mhaf.reparam import fuse_conv_bn
+from mhaf.tensor import conv2d_naive
 from mhaf.weights import bind_node_weights, init_weights, load_weights, save_weights
 
 from oracles import normalized_max_error
@@ -57,14 +61,29 @@ class TestForward:
         # batched matmul may reassociate sums, so compare relative to scale
         assert normalized_max_error(joint["p3"][1], solo["p3"][0]) <= 1e-5
 
-    def test_naive_conv_route_agrees(self):
-        # same graph, two independent convolution implementations
+    def test_naive_conv_route_agrees(self, monkeypatch):
+        # same graph, two independent convolution implementations: every
+        # conv, inside blocks too, takes the reference route on the second run
         graph, store = tiny_setup()
+        outcome = fuse_model(graph, store)
         x = tiny_input(64)
-        fast = forward(graph, store, x)
-        naive = forward(graph, store, x, use_naive_conv=True)
-        for level in fast:
-            assert normalized_max_error(fast[level], naive[level]) <= 1e-5
+        calls = []
+
+        def naive(inp, kernel):
+            calls.append(kernel)
+            return conv2d_naive(inp, kernel)
+
+        for g, s in ((graph, store), (outcome.graph, outcome.store)):
+            fast = forward(g, s, x)
+            with monkeypatch.context() as m:
+                for module in (mhaf.blocks, mhaf.reparam, mhaf.model):
+                    m.setattr(module, "conv2d_fast", naive)
+                calls.clear()
+                reference = forward(g, s, x)
+            convs = [e for e in graph_param_entries(g) if e.kind == "conv_weight"]
+            assert len(calls) == len(convs)
+            for level in fast:
+                assert normalized_max_error(fast[level], reference[level]) <= 1e-5
 
     def test_nonfinite_activation_names_the_node(self):
         graph, store = tiny_setup()

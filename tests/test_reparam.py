@@ -43,10 +43,6 @@ class TestBranchSets:
     def test_three_by_three_has_no_branches(self):
         assert RepHConvSpec(8, 3).branch_kernels == ()
 
-    def test_explicit_branch_list_must_match(self):
-        with pytest.raises(KernelError):
-            RepHConvSpec(8, 7, branch_kernels=(3,))
-
     def test_even_main_kernel_rejected(self):
         with pytest.raises(KernelError):
             RepHConvSpec(8, 4)

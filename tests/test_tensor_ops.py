@@ -116,6 +116,8 @@ DISPATCH_CASES = [
     (8, 12, 3, 1, 1, (14, 18)),      # dense
     (8, 12, 5, 2, 1, (14, 18)),      # dense strided
     (12, 8, 3, 1, 4, (14, 18)),      # grouped
+    (12, 8, 1, 2, 4, (14, 18)),      # grouped strided pointwise
+    (8, 16, 3, 1, 8, (14, 18)),      # channel-multiplier depthwise
 ]
 
 
