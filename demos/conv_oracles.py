@@ -5,8 +5,9 @@ Two independent convolution routes
 Every higher-level guarantee in this package bottoms out at conv2d.  To keep
 that foundation trustworthy there are two implementations: ``conv2d_naive``,
 a transparent loop kept close to the textbook definition, and
-``conv2d_fast``, which runs depthwise kernels as a channels-last
-shift-and-accumulate loop and every other conv as one grouped im2col matmul.
+``conv2d_fast``, which runs depthwise kernels as one matmul of overlapping
+input rows with a banded (Toeplitz) matrix of the taps and every other conv
+as one grouped im2col matmul.
 This script runs both on the same inputs and prints how far apart they land.
 """
 

@@ -69,10 +69,10 @@ def forward(
     """Evaluate the graph on an NCHW float32 batch.
 
     Returns {head level: feature map} for the graph outputs.  The input's
-    channels and spatial size (both extents multiples of the input node's
-    ``divisor``) are checked before any node runs.  Intermediate tensors are
-    freed as soon as their last consumer has run; every node output is
-    checked for finiteness so numerical blow-ups name their node.
+    channels, spatial size (both extents multiples of the input node's
+    ``divisor``) and finiteness are checked before any node runs.
+    Intermediate tensors are freed as soon as their last consumer has run;
+    every node output is checked for finiteness so blow-ups name their node.
 
     ``use_naive_conv`` runs the graph's own ``conv`` nodes through
     :func:`conv2d_naive`; convolutions inside composite nodes (``rephms``,
@@ -91,6 +91,8 @@ def forward(
                     f"{node.attrs.get('channels', 3)}"
                 )
             check_input_size(node, x.shape[2:])
+            if not np.all(np.isfinite(x)):
+                raise NumericError(f"input '{node.name}' holds non-finite values")
         for src in node.inputs:
             remaining[src] = remaining.get(src, 0) + 1
     for out in graph.outputs:

@@ -9,9 +9,10 @@ Conventions
   (:func:`conv2d_naive`) accumulates every output element in a fixed
   (kernel-row, kernel-col, input-channel) order, so repeated runs are
   bit-identical.  :func:`conv2d_fast` trades that fixed order for speed
-  and has two routes: a channels-last shift-and-accumulate loop for
-  depthwise kernels, and one grouped im2col matmul (BLAS) for every other
-  conv.  It is validated against the reference to a relative tolerance.
+  and has two routes, both one BLAS matmul: depthwise kernels multiply
+  each channel's overlapping input rows by a banded (Toeplitz) matrix of
+  its taps, and every other conv multiplies grouped im2col patch columns.
+  It is validated against the reference to a relative tolerance.
 * Spatial downsampling by pooling/striding always uses factor 2, matching
   the stage layout of the models built on top of these ops.
 """
@@ -250,49 +251,43 @@ def _im2col(
     return np.ascontiguousarray(windows).reshape(b, groups, cpg * k * k, oh * ow)
 
 
-def _depthwise_channels_last(
-    x: np.ndarray, w: np.ndarray, s: int, p: int, oh: int, ow: int
-) -> np.ndarray:
-    """Depthwise conv (multiplier 1) by shift-and-accumulate over a
-    zero-padded channels-last copy of ``x``; returns an NHWC array.
+def _depthwise_band(xp: np.ndarray, w: np.ndarray, s: int, oh: int, ow: int) -> np.ndarray:
+    """Depthwise conv (multiplier 1) of the padded input ``xp``; NCHW out.
 
-    Each kernel tap is one vectorized multiply of a shifted (strided) view
-    whose contiguous inner run is the whole channel axis.  Taps are summed
-    per kernel row before the row joins the output: one float32 running sum
-    over all k*k taps drifts further from the reference than the k-term
-    partial sums do.
+    Per channel, output row ``y`` reads padded rows ``y*s .. y*s+k-1`` as
+    one vector of length ``k*Wp`` (an overlapping view of ``xp``).  The
+    ``(C, k*Wp, ow)`` band holds tap ``w[c, i, j]`` at ``[i*Wp + x*s + j, x]``
+    and zeros elsewhere, so one matmul sums each output's k*k taps.  Bands
+    are built per call and never kept: the deployed model's total 25 MB.
     """
-    b, c, h, wd = x.shape
+    b, c, _, wp = xp.shape
     k = w.shape[2]
-    xp = np.zeros((b, h + 2 * p, wd + 2 * p, c), dtype=np.float32)
-    xp[:, p : p + h, p : p + wd] = x.transpose(0, 2, 3, 1)
-    taps = np.ascontiguousarray(w[:, 0].transpose(1, 2, 0))  # (k, k, c)
-    out = np.empty((b, oh, ow, c), dtype=np.float32)
-    row = np.empty_like(out)
-    prod = np.empty_like(out)
-    span_h, span_w = s * (oh - 1) + 1, s * (ow - 1) + 1
-    for i in range(k):
-        rows = xp[:, i : i + span_h : s]
-        acc = out if i == 0 else row
-        np.multiply(rows[:, :, 0:span_w:s], taps[i, 0], out=acc)
-        for j in range(1, k):
-            np.multiply(rows[:, :, j : j + span_w : s], taps[i, j], out=prod)
-            acc += prod
-        if i:
-            out += row
-    return out
+    sb, sc, sh, sw = xp.strides
+    rows = as_strided(
+        xp, shape=(b, c, oh, k, wp), strides=(sb, sc, sh * s, sh, sw), writeable=False
+    ).reshape(b, c, oh, k * wp)
+    i, j, x = np.ogrid[:k, :k, :ow]
+    band = np.zeros((c, k * wp, ow), dtype=np.float32)
+    band[:, i * wp + x * s + j, x] = w[:, 0, :, :, None]
+    return np.matmul(rows, band)
 
 
 def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """Fast convolution, numerically equivalent to :func:`conv2d_naive` up
     to float32 rounding.
 
-    Two routes.  Depthwise kernels (groups == in == out channels)
-    shift-and-accumulate over a channels-last copy of the input
-    (:func:`_depthwise_channels_last`).  Every other conv (pointwise, dense,
-    grouped, channel-multiplier depthwise, any stride or padding) is one
-    grouped matmul of the weights with im2col patch columns
+    Two routes, each one matmul after padding once.  Depthwise kernels
+    (groups == in == out channels) multiply overlapping input rows by a
+    banded matrix of the taps (:func:`_depthwise_band`).  Every other conv
+    (pointwise, dense, grouped, channel-multiplier depthwise, any stride or
+    padding) multiplies the grouped weights with im2col patch columns
     (:func:`_im2col`).
+
+    For finite inputs the result matches :func:`conv2d_naive` within
+    float32 rounding.  For non-finite inputs, every output that
+    :func:`conv2d_naive` makes non-finite is non-finite here too, but the
+    depthwise route may make more: ``0 * inf`` in the band's zeros spreads
+    NaN along output rows, and numpy warns of the invalid value.
     """
     oh, ow = _check_conv_args(x, kernel)
     b, cin = x.shape[:2]
@@ -301,13 +296,12 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     k, s, p = kernel.kernel_size, kernel.stride, kernel.padding
     w = kernel.weights
 
-    if g == cin == cout:
-        out = _depthwise_channels_last(x, w, s, p, oh, ow)
-        out += kernel.bias
-        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    cols = _im2col(xp, g, k, s, oh, ow)
-    out = np.matmul(w.reshape(g, cout // g, -1), cols).reshape(b, cout, oh, ow)
+    if g == cin == cout:
+        out = _depthwise_band(xp, w, s, oh, ow)
+    else:
+        cols = _im2col(xp, g, k, s, oh, ow)
+        out = np.matmul(w.reshape(g, cout // g, -1), cols).reshape(b, cout, oh, ow)
     out += kernel.bias[None, :, None, None]
     return out
 
@@ -344,10 +338,14 @@ def avgpool2d(x: np.ndarray) -> np.ndarray:
     """2x2, stride-2 average pooling (the cheap anti-aliased downsample used
     for cross-resolution routing)."""
     check_tensor4(x)
-    b, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"avgpool2d needs even spatial dims, got {h}x{w}")
-    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5), dtype=np.float32)
+    out = np.add(x[:, :, ::2, ::2], x[:, :, ::2, 1::2], order="C")
+    out += x[:, :, 1::2, ::2]
+    out += x[:, :, 1::2, 1::2]
+    out *= 0.25
+    return out
 
 
 def upsample2x(x: np.ndarray) -> np.ndarray:

@@ -86,11 +86,22 @@ class TestForward:
                 assert normalized_max_error(fast[level], reference[level]) <= 1e-5
 
     def test_nonfinite_activation_names_the_node(self):
+        # a finite input meets a NaN weight: the first conv's output blows up
+        graph, store = tiny_setup()
+        store.entries["stem.1.conv.weight"][0, 0, 0, 0] = np.nan
+        with pytest.raises(NumericError, match="stem.1"):
+            forward(graph, store, tiny_input())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_rejected_before_any_node(self, monkeypatch, bad):
         graph, store = tiny_setup()
         x = tiny_input()
-        x[0, 0, 0, 0] = np.nan
-        with pytest.raises(NumericError, match="stem.1"):
+        x[0, 1, 7, 9] = bad
+        ran = []
+        monkeypatch.setattr(mhaf.model, "_eval_node", lambda *args: ran.append(args))
+        with pytest.raises(NumericError, match="input 'images'"):
             forward(graph, store, x)
+        assert not ran
 
     def test_indivisible_input_rejected_up_front(self):
         # 100 is not a multiple of nano's total stride 32; the check must

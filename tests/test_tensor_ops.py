@@ -105,7 +105,9 @@ class TestConvNaive:
             conv2d_naive(x, ker)
 
 
-# (cin, cout, k, stride, groups, (h, w)); inputs have batch 2
+# (cin, cout, k, stride, groups, (h, w)[, parts]); inputs have batch 2.  With
+# parts > 1 the conv reads the last of `parts` channel slices that
+# split_channels cuts from a wider input: a view that is not C-contiguous.
 DISPATCH_CASES = [
     (8, 16, 1, 1, 1, (14, 18)),      # pointwise
     (8, 16, 1, 2, 1, (14, 18)),      # strided pointwise
@@ -118,25 +120,30 @@ DISPATCH_CASES = [
     (12, 8, 3, 1, 4, (14, 18)),      # grouped
     (12, 8, 1, 2, 4, (14, 18)),      # grouped strided pointwise
     (8, 16, 3, 1, 8, (14, 18)),      # channel-multiplier depthwise
+    (16, 16, 5, 2, 16, (15, 17)),    # strided depthwise on an odd-width map
+    (16, 16, 1, 1, 16, (14, 18), 2), # unpadded depthwise 1x1 on a channel slice
+    (8, 8, 5, 1, 8, (1, 12)),        # depthwise with a single output row
 ]
 
 
 def _dispatch_case_id(case):
-    *conv, (h, w) = case
+    *conv, (h, w) = case[:6]
     name = "-".join(map(str, conv))
-    return name if (h, w) == (14, 18) else f"{name}-{h}x{w}"
+    name = name if (h, w) == (14, 18) else f"{name}-{h}x{w}"
+    return name if len(case) == 6 else f"{name}-slice{case[6]}"
 
 
 class TestConvFast:
     @pytest.mark.parametrize(
-        "cin,cout,k,s,g,hw",
-        DISPATCH_CASES,
-        ids=[_dispatch_case_id(c) for c in DISPATCH_CASES],
+        "case", DISPATCH_CASES, ids=[_dispatch_case_id(c) for c in DISPATCH_CASES]
     )
-    def test_each_dispatch_path_matches_naive(self, cin, cout, k, s, g, hw):
+    def test_each_dispatch_path_matches_naive(self, case):
         """Every fast-path specialization agrees with the reference conv."""
+        cin, cout, k, s, g, hw, parts = (*case, 1)[:7]
         rng = np.random.default_rng(200 + cin + cout + k + s + g)
-        x = rng.standard_normal((2, cin, *hw)).astype(np.float32)
+        x = rng.standard_normal((2, cin * parts, *hw)).astype(np.float32)
+        x = split_channels(x, parts)[-1]
+        assert x.flags.c_contiguous == (parts == 1)
         ker = random_kernel(rng, cin, cout, k, stride=s, groups=g)
         err = normalized_max_error(conv2d_fast(x, ker), conv2d_naive(x, ker))
         assert err <= 1e-5
@@ -158,6 +165,21 @@ class TestConvFast:
             ker = random_kernel(rng, cin, cout, k, stride=s, groups=g)
             err = normalized_max_error(conv2d_fast(x, ker), conv2d_naive(x, ker))
             assert err <= 1e-5, f"trial {trial}: error {err:.2e}"
+
+    def test_nonfinite_outputs_cover_the_reference_ones(self):
+        """One inf input: wherever the reference output is non-finite, the
+        fast one is too.  The depthwise band's zeros meet the inf as 0 * inf,
+        so the fast route makes whole output rows NaN and numpy warns."""
+        rng = np.random.default_rng(303)
+        x = rng.standard_normal((1, 2, 5, 12)).astype(np.float32)
+        x[0, 0, 2, 5] = np.inf
+        ker = random_kernel(rng, 2, 2, 3, groups=2)
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            fast = conv2d_fast(x, ker)
+        bad = ~np.isfinite(conv2d_naive(x, ker))
+        assert bad.sum() == 9
+        assert np.all(~np.isfinite(fast)[bad])
+        assert np.all(np.isfinite(fast[:, 1]))
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(301)
@@ -266,6 +288,20 @@ class TestElementwiseAndResampling:
         rng = np.random.default_rng(501)
         x = rng.standard_normal((2, 5, 8, 10)).astype(np.float32)
         assert np.allclose(avgpool2d(x), avgpool_scalar(x), rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("layout", ["channel-slice", "channels-last"])
+    def test_avgpool_non_contiguous_input(self, layout):
+        """Strided views of the input still give a C-contiguous float32 map."""
+        rng = np.random.default_rng(504)
+        x = rng.standard_normal((2, 10, 8, 6)).astype(np.float32)
+        if layout == "channel-slice":
+            x = split_channels(x, 2)[1]
+        else:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        assert not x.flags.c_contiguous
+        out = avgpool2d(x)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert np.allclose(out, avgpool_scalar(x), rtol=1e-5, atol=1e-6)
 
     def test_avgpool_rejects_odd_extent(self):
         x = np.zeros((1, 1, 7, 8), dtype=np.float32)
