@@ -7,6 +7,9 @@ is no hidden module state.  Each structure exists in a training form
 (convs followed by batch norm, multi-branch mixers) and a deployed form
 (BN folded away, branches merged), and the ``deploy_*`` functions convert
 one into the other while preserving the computed function.
+
+``FUSION_ROLES`` is the one place the fusion nodes' input roles are
+defined: each role's resolution and the op it takes before the concat.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ __all__ = [
     "RepHMSWeights",
     "SAFWeights",
     "AAFWeights",
+    "FUSION_ROLES",
+    "FUSION_UNITS",
     "conv_unit_forward",
     "block_forward",
     "rephms_forward",
@@ -339,6 +344,29 @@ def rephms_from_units(spec: RepHMSSpec, units: dict) -> RepHMSWeights:
 # ---------------------------------------------------------------------------
 # cross-resolution fusion nodes
 
+# The input roles of each fusion kind, in concat order: role -> (the input's
+# resolution relative to the node's output, the op applied before the
+# concat).  ``pool`` is silu(avgpool); ``up`` a bare 2x upsample; ``ctrl``
+# the node's 1x1 unit after upsampling; ``down`` its 3x3/stride-2 unit.
+# Evaluation, shape inference, receptive fields and slot layouts all read
+# this table.
+FUSION_ROLES = {
+    "saf": {
+        "below": (2, "pool"),
+        "same": (1, None),
+        "above": (0.5, "ctrl"),
+        "above_refined": (0.5, "up"),
+    },
+    "aaf": {
+        "below_refined": (2, "down"),
+        "below_deep": (2, "pool"),
+        "same": (1, None),
+        "above_refined": (0.5, "ctrl"),
+    },
+}
+# ops that run the node's conv unit of the same name
+FUSION_UNITS = ("ctrl", "down")
+
 
 @dataclass
 class SAFWeights:
@@ -381,30 +409,44 @@ def saf_layout(same_ch: int, above_ch: int | None) -> list[ConvUnitSpec]:
     return [ConvUnitSpec("ctrl", above_ch, same_ch // 2, 1)]
 
 
-def aaf_layout(width: int, has_below: bool, has_above: bool) -> list[ConvUnitSpec]:
-    """Weighted slots of a deep fusion node."""
-    slots = []
-    if has_below:
-        slots.append(ConvUnitSpec("down", width, width, 3, stride=2))
-    if has_above:
-        slots.append(ConvUnitSpec("ctrl", width, width, 1))
-    return slots
+def aaf_layout(width: int, roles: tuple[str, ...]) -> list[ConvUnitSpec]:
+    """Weighted slots of a deep fusion node, one per role whose op carries
+    a conv, in role order."""
+    units = {
+        "down": ConvUnitSpec("down", width, width, 3, stride=2),
+        "ctrl": ConvUnitSpec("ctrl", width, width, 1),
+    }
+    ops = (FUSION_ROLES["aaf"][role][1] for role in roles)
+    return [units[op] for op in ops if op in units]
 
 
-def _expect_double(name: str, x: np.ndarray, target_hw: tuple[int, int]) -> None:
-    if (x.shape[2], x.shape[3]) != (2 * target_hw[0], 2 * target_hw[1]):
-        raise ShapeError(
-            f"{name} input has spatial dims {x.shape[2:]} but must be exactly "
-            f"twice the target {target_hw}"
-        )
-
-
-def _expect_half(name: str, x: np.ndarray, target_hw: tuple[int, int]) -> None:
-    if (2 * x.shape[2], 2 * x.shape[3]) != target_hw:
-        raise ShapeError(
-            f"{name} input has spatial dims {x.shape[2:]} but must be exactly "
-            f"half the target {target_hw}"
-        )
+def _fusion_parts(kind: str, inputs: tuple, weights) -> list[np.ndarray]:
+    """The concat terms of a fusion node: each present input, in role order,
+    resampled to the resolution of ``same`` and passed through its role's
+    op.  ``ctrl`` and ``down`` run the node's unit of that name."""
+    table = FUSION_ROLES[kind]
+    same = inputs[list(table).index("same")]
+    parts = []
+    for (role, (scale, op)), x in zip(table.items(), inputs):
+        if x is None:
+            continue
+        want = (same.shape[2] * scale, same.shape[3] * scale)
+        if x.shape[2:] != want:
+            raise ShapeError(
+                f"{role} input has spatial dims {x.shape[2:]} but must be exactly "
+                f"{'twice' if scale > 1 else 'half'} the target {same.shape[2:]}"
+            )
+        if scale < 1:
+            x = upsample2x(x)
+        if op == "pool":
+            x = silu(avgpool2d(x))
+        elif op in FUSION_UNITS:
+            unit = getattr(weights, op)
+            if unit is None:
+                raise StateError(f"{role} input given but node has no {op} conv")
+            x = conv_unit_forward(x, unit)
+        parts.append(x)
+    return parts
 
 
 def saf_fuse(
@@ -427,21 +469,9 @@ def saf_fuse(
     Boundary levels pass ``None`` for inputs that do not exist; the concat
     simply shrinks.
     """
-    target = (same.shape[2], same.shape[3])
-    parts = []
-    if below is not None:
-        _expect_double("finer backbone", below, target)
-        parts.append(silu(avgpool2d(below)))
-    parts.append(same)
-    if above is not None:
-        if weights.ctrl is None:
-            raise StateError("coarser input given but node has no control conv")
-        _expect_half("coarser backbone", above, target)
-        parts.append(conv_unit_forward(upsample2x(above), weights.ctrl))
-    if above_refined is not None:
-        _expect_half("coarser refined", above_refined, target)
-        parts.append(upsample2x(above_refined))
-    return concat_channels(parts)
+    return concat_channels(
+        _fusion_parts("saf", (below, same, above, above_refined), weights)
+    )
 
 
 def aaf_fuse(
@@ -464,23 +494,10 @@ def aaf_fuse(
     weighting downstream sees equal-sized operands; a width mismatch is a
     wiring bug and raises.
     """
-    target = (same_refined.shape[2], same_refined.shape[3])
     width = same_refined.shape[1]
-    parts = []
-    if below_refined is not None:
-        if weights.down is None:
-            raise StateError("finer refined input given but node has no down conv")
-        _expect_double("finer refined", below_refined, target)
-        parts.append(conv_unit_forward(below_refined, weights.down))
-    if below_deep is not None:
-        _expect_double("finer deep", below_deep, target)
-        parts.append(silu(avgpool2d(below_deep)))
-    parts.append(same_refined)
-    if above_refined is not None:
-        if weights.ctrl is None:
-            raise StateError("coarser refined input given but node has no control conv")
-        _expect_half("coarser refined", above_refined, target)
-        parts.append(conv_unit_forward(upsample2x(above_refined), weights.ctrl))
+    parts = _fusion_parts(
+        "aaf", (below_refined, below_deep, same_refined, above_refined), weights
+    )
     for i, p in enumerate(parts):
         if p.shape[1] != width:
             raise ShapeError(

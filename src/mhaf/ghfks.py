@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .blocks import FUSION_ROLES
 from .errors import GraphError, KernelError
 
 __all__ = [
@@ -34,6 +35,9 @@ BACKBONE_LEVELS = ("p2", "p3", "p4", "p5")
 NECK_LEVELS = ("p3", "p4", "p5")
 PATHWAYS = ("shallow", "deep")
 _NECK_ALLOWED = (5, 7, 9)
+# input steps a fusion role's op adds to the receptive field: the 2x2 pool
+# one, the 3x3 down conv two
+_RF_STEPS = {"pool": 1, "down": 2}
 
 
 @dataclass
@@ -177,31 +181,12 @@ def receptive_field(graph) -> dict[str, RFEntry]:
             depth = (node.attrs["streams"] - 1) * node.attrs["blocks"]
             rf = rf0 + depth * (node.attrs["kernel"] - 1) * j0
             jump = j0
-        elif kind == "saf":
+        elif kind in FUSION_ROLES:
+            table = FUSION_ROLES[kind]
             pairs = []
             for role, (rf0, j0) in zip(node.attrs["roles"], ins):
-                if role == "below":
-                    pairs.append((rf0 + j0, j0 * 2))
-                elif role == "same":
-                    pairs.append((rf0, j0))
-                elif role in ("above", "above_refined"):
-                    pairs.append((rf0, j0 / 2))
-                else:
-                    raise GraphError(f"node '{node.name}' has unknown role '{role}'")
-            rf, jump = merged(node, pairs)
-        elif kind == "aaf":
-            pairs = []
-            for role, (rf0, j0) in zip(node.attrs["roles"], ins):
-                if role == "below_refined":
-                    pairs.append((rf0 + 2 * j0, j0 * 2))
-                elif role == "below_deep":
-                    pairs.append((rf0 + j0, j0 * 2))
-                elif role == "same":
-                    pairs.append((rf0, j0))
-                elif role == "above_refined":
-                    pairs.append((rf0, j0 / 2))
-                else:
-                    raise GraphError(f"node '{node.name}' has unknown role '{role}'")
+                scale, op = table[role]
+                pairs.append((rf0 + _RF_STEPS.get(op, 0) * j0, j0 * Fraction(scale)))
             rf, jump = merged(node, pairs)
         else:
             raise GraphError(f"node '{node.name}' has unanalyzable kind '{kind}'")

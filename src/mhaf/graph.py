@@ -7,7 +7,9 @@ carry their own semantics; composite kinds (rephms, saf, aaf) encapsulate a
 fusion node or aggregation module whose internal weighted slots are
 enumerated by the layout helpers in :mod:`mhaf.blocks`, so weight naming,
 initialization, binding, fusion and bookkeeping all derive from one
-description.
+description.  The fusion kinds' input roles (``attrs["roles"]``, one per
+input) come from :data:`mhaf.blocks.FUSION_ROLES`, the one place their
+resolutions and ops are defined; ``add`` rejects roles outside it.
 
 Node naming is stable and positional (``backbone.p3``, ``neck.p4.shallow``,
 ``head.p5``), which weight stores rely on.
@@ -18,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .blocks import (
+    FUSION_ROLES,
+    FUSION_UNITS,
     ConvUnitSpec,
     MixerSpec,
     RepHMSSpec,
@@ -93,6 +97,8 @@ class ModelGraph:
         for inp in inputs:
             if inp not in self.nodes:
                 raise GraphError(f"node '{name}' references unknown input '{inp}'")
+        if kind in FUSION_ROLES:
+            _check_roles(name, kind, tuple(attrs.get("roles", ())), len(inputs))
         node = Node(name=name, kind=kind, inputs=tuple(inputs), attrs=attrs)
         self.nodes[name] = node
         return node
@@ -111,6 +117,23 @@ class ModelGraph:
 
     def edges(self) -> list[tuple[str, str]]:
         return [(src, node.name) for node in self for src in node.inputs]
+
+
+def _check_roles(name: str, kind: str, roles: tuple[str, ...], n_inputs: int) -> None:
+    """A fusion node names one distinct role of its kind per input, and
+    always the same-level one."""
+    for i, role in enumerate(roles):
+        if role not in FUSION_ROLES[kind]:
+            raise GraphError(f"node '{name}' has unknown {kind} role '{role}'")
+        if role in roles[:i]:
+            raise GraphError(f"node '{name}' lists role '{role}' twice")
+    if "same" not in roles:
+        raise GraphError(f"node '{name}' lacks the 'same' role among {roles}")
+    if len(roles) != n_inputs:
+        raise GraphError(
+            f"node '{name}' gives roles {roles} for {n_inputs} inputs; "
+            f"each input needs exactly one role"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -197,37 +220,27 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
 
     bb = {lv: f"backbone.{lv}" for lv in BACKBONE_LEVELS}
 
+    # each fusion node's sources in its kind's FUSION_ROLES order; None
+    # where a pyramid boundary drops the role
+    def by_role(kind, sources):
+        return zip(*((r, s) for r, s in zip(FUSION_ROLES[kind], sources) if s))
+
     # first fusion pathway (shallow), coarsest level first
-    saf_in: dict[str, dict] = {
-        "p5": dict(below="p4", same="p5", above=None, refined=None),
-        "p4": dict(below="p3", same="p4", above="p5", refined="neck.p5.shallow"),
-        "p3": dict(below="p2", same="p3", above="p4", refined="neck.p4.shallow"),
+    shallow = {
+        "p5": (bb["p4"], bb["p5"], None, None),
+        "p4": (bb["p3"], bb["p4"], bb["p5"], "neck.p5.shallow"),
+        "p3": (bb["p2"], bb["p3"], bb["p4"], "neck.p4.shallow"),
     }
-    ch = dict(zip(BACKBONE_LEVELS, cs))
-    for level in ("p5", "p4", "p3"):
-        cfg = saf_in[level]
-        inputs, roles = [], []
-        below_ch = above_ch = refined_ch = None
-        if cfg["below"]:
-            inputs.append(bb[cfg["below"]])
-            roles.append("below")
-            below_ch = ch[cfg["below"]]
-        inputs.append(bb[cfg["same"]])
-        roles.append("same")
-        same_ch = ch[cfg["same"]]
-        if cfg["above"]:
-            inputs.append(bb[cfg["above"]])
-            roles.append("above")
-            above_ch = ch[cfg["above"]]
-        if cfg["refined"]:
-            inputs.append(cfg["refined"])
-            roles.append("above_refined")
-            refined_ch = w
+    ch = {bb[lv]: c for lv, c in zip(BACKBONE_LEVELS, cs)}
+    for level, sources in shallow.items():
+        roles, inputs = by_role("saf", sources)
+        below_ch, same_ch, above_ch = (ch.get(src) for src in sources[:3])
+        refined_ch = w if sources[3] else None
         out_ch = saf_output_channels(below_ch, same_ch, above_ch, refined_ch)
         fuse = f"neck.{level}.shallow.fuse"
         graph.add(
-            fuse, "saf", tuple(inputs),
-            roles=tuple(roles), below_ch=below_ch, same_ch=same_ch,
+            fuse, "saf", inputs,
+            roles=roles, below_ch=below_ch, same_ch=same_ch,
             above_ch=above_ch, refined_ch=refined_ch, out_ch=out_ch,
         )
         add_rephms(
@@ -237,37 +250,17 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
         )
 
     # second fusion pathway (deep), finest level first
-    aaf_in = {
-        "p3": dict(below_refined=None, below_deep=None,
-                   same="neck.p3.shallow", above="neck.p4.shallow"),
-        "p4": dict(below_refined="neck.p3.shallow", below_deep="neck.p3.deep",
-                   same="neck.p4.shallow", above="neck.p5.shallow"),
-        "p5": dict(below_refined="neck.p4.shallow", below_deep="neck.p4.deep",
-                   same="neck.p5.shallow", above=None),
+    deep = {
+        "p3": (None, None, "neck.p3.shallow", "neck.p4.shallow"),
+        "p4": ("neck.p3.shallow", "neck.p3.deep", "neck.p4.shallow", "neck.p5.shallow"),
+        "p5": ("neck.p4.shallow", "neck.p4.deep", "neck.p5.shallow", None),
     }
-    for level in NECK_LEVELS:
-        cfg = aaf_in[level]
-        inputs, roles = [], []
-        for role, key in (
-            ("below_refined", "below_refined"),
-            ("below_deep", "below_deep"),
-            ("same", "same"),
-            ("above_refined", "above"),
-        ):
-            if cfg[key]:
-                inputs.append(cfg[key])
-                roles.append(role)
-        out_ch = w * len(inputs)
+    for level, sources in deep.items():
+        roles, inputs = by_role("aaf", sources)
         fuse = f"neck.{level}.deep.fuse"
-        graph.add(
-            fuse, "aaf", tuple(inputs),
-            roles=tuple(roles), width=w,
-            has_below=cfg["below_refined"] is not None,
-            has_above=cfg["above"] is not None,
-            out_ch=out_ch,
-        )
+        graph.add(fuse, "aaf", inputs, roles=roles, width=w, out_ch=w * len(inputs))
         add_rephms(
-            f"neck.{level}.deep", fuse, out_ch, w,
+            f"neck.{level}.deep", fuse, w * len(inputs), w,
             spec.neck_streams, spec.scaled_neck_blocks,
             plan.neck_kernel(level, "deep"),
         )
@@ -296,6 +289,44 @@ def check_input_size(node: Node, hw: tuple[int, int]) -> None:
         )
 
 
+def _fusion_shape(node: Node, ins: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Output shape of a fusion node: every input sits at its role's
+    resolution, and contributes its own channels or, through a conv unit,
+    that unit's output channels."""
+    table = FUSION_ROLES[node.kind]
+    roles = node.attrs["roles"]
+    h, wd = next(s[1:] for role, s in zip(roles, ins) if table[role][0] == 1)
+    slots = {slot.path: slot for slot in node_slots(node)}
+    widths = []
+    for role, (c, h_in, w_in) in zip(roles, ins):
+        scale, op = table[role]
+        if (h_in, w_in) != (h * scale, wd * scale):
+            raise ShapeError(
+                f"node '{node.name}': {role} input is {h_in}x{w_in}, "
+                f"expected {h * scale:g}x{wd * scale:g}"
+            )
+        if op in FUSION_UNITS:
+            want = slots[op].in_ch if op in slots else None
+            if c != want:
+                raise ShapeError(
+                    f"node '{node.name}': {role} input has {c} channels but "
+                    f"its {op} conv takes {want}"
+                )
+            c = slots[op].out_ch
+        widths.append(c)
+    if node.kind == "aaf" and len(set(widths)) != 1:
+        raise ShapeError(
+            f"node '{node.name}' expects equal channel widths, but its "
+            f"contributions have {widths}"
+        )
+    if sum(widths) != node.attrs["out_ch"]:
+        raise GraphError(
+            f"node '{node.name}' declares {node.attrs['out_ch']} output "
+            f"channels but its inputs produce {sum(widths)}"
+        )
+    return (sum(widths), h, wd)
+
+
 def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int, int]]:
     """Propagate (channels, height, width) through every node, validating
     channel and resolution consistency along the way.
@@ -310,10 +341,6 @@ def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int,
     hw = (input_size, input_size) if isinstance(input_size, int) else tuple(input_size)
 
     shapes: dict[str, tuple[int, int, int]] = {}
-
-    def role_map(node):
-        return dict(zip(node.attrs["roles"], node.inputs))
-
     for node in graph:
         ins = [shapes[i] for i in node.inputs]
         kind = node.kind
@@ -373,74 +400,8 @@ def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int,
                     f"node '{node.name}' expects {node.attrs['in_ch']} channels, got {c}"
                 )
             shape = (node.attrs["out_ch"], h, wd)
-        elif kind == "saf":
-            rm = role_map(node)
-            c_s, h, wd = shapes[rm["same"]]
-            total = c_s
-            if "below" in rm:
-                c_b, h_b, w_b = shapes[rm["below"]]
-                if (h_b, w_b) != (2 * h, 2 * wd):
-                    raise ShapeError(
-                        f"node '{node.name}': finer input is {h_b}x{w_b}, "
-                        f"expected {2 * h}x{2 * wd}"
-                    )
-                total += c_b
-            if "above" in rm:
-                c_a, h_a, w_a = shapes[rm["above"]]
-                if (2 * h_a, 2 * w_a) != (h, wd):
-                    raise ShapeError(
-                        f"node '{node.name}': coarser input is {h_a}x{w_a}, "
-                        f"expected {h // 2}x{wd // 2}"
-                    )
-                total += c_s // 2
-            if "above_refined" in rm:
-                c_r, h_r, w_r = shapes[rm["above_refined"]]
-                if (2 * h_r, 2 * w_r) != (h, wd):
-                    raise ShapeError(
-                        f"node '{node.name}': refined input is {h_r}x{w_r}, "
-                        f"expected {h // 2}x{wd // 2}"
-                    )
-                total += c_r
-            if total != node.attrs["out_ch"]:
-                raise GraphError(
-                    f"node '{node.name}' declares {node.attrs['out_ch']} output "
-                    f"channels but its inputs produce {total}"
-                )
-            shape = (total, h, wd)
-        elif kind == "aaf":
-            rm = role_map(node)
-            width = node.attrs["width"]
-            c_s, h, wd = shapes[rm["same"]]
-            if c_s != width:
-                raise ShapeError(
-                    f"node '{node.name}': same-level input has {c_s} channels, "
-                    f"expected width {width}"
-                )
-            count = 1
-            for role in ("below_refined", "below_deep"):
-                if role in rm:
-                    c_b, h_b, w_b = shapes[rm[role]]
-                    if c_b != width or (h_b, w_b) != (2 * h, 2 * wd):
-                        raise ShapeError(
-                            f"node '{node.name}': {role} input is "
-                            f"{c_b}x{h_b}x{w_b}, expected {width}x{2 * h}x{2 * wd}"
-                        )
-                    count += 1
-            if "above_refined" in rm:
-                c_a, h_a, w_a = shapes[rm["above_refined"]]
-                if c_a != width or (2 * h_a, 2 * w_a) != (h, wd):
-                    raise ShapeError(
-                        f"node '{node.name}': coarser refined input is "
-                        f"{c_a}x{h_a}x{w_a}, expected {width}x{h // 2}x{wd // 2}"
-                    )
-                count += 1
-            total = width * count
-            if total != node.attrs["out_ch"]:
-                raise GraphError(
-                    f"node '{node.name}' declares {node.attrs['out_ch']} output "
-                    f"channels but its inputs produce {total}"
-                )
-            shape = (total, h, wd)
+        elif kind in FUSION_ROLES:
+            shape = _fusion_shape(node, ins)
         else:
             raise GraphError(f"node '{node.name}' has uninferable kind '{kind}'")
         shapes[node.name] = shape
@@ -515,9 +476,7 @@ def node_slots(node: Node) -> list[ConvUnitSpec | MixerSpec]:
     if node.kind == "saf":
         return saf_layout(node.attrs["same_ch"], node.attrs["above_ch"])
     if node.kind == "aaf":
-        return aaf_layout(
-            node.attrs["width"], node.attrs["has_below"], node.attrs["has_above"]
-        )
+        return aaf_layout(node.attrs["width"], node.attrs["roles"])
     return []
 
 
@@ -601,7 +560,7 @@ def _node_label(node: Node) -> str:
         detail = f" {a['kernel']}x{a['kernel']}/{a['stride']} {a['in_ch']}->{a['out_ch']}"
     elif node.kind == "rephms":
         detail = f" k{a['kernel']} n{a['streams']} m{a['blocks']} {a['in_ch']}->{a['out_ch']}"
-    elif node.kind in ("saf", "aaf"):
+    elif node.kind in FUSION_ROLES:
         detail = f" x{len(node.inputs)} ->{a['out_ch']}"
     elif node.kind == "bn":
         detail = f" c{a['channels']}"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import aaf_fuse, fold_slot, rephms_forward, saf_fuse
+from .blocks import FUSION_ROLES, aaf_fuse, fold_slot, rephms_forward, saf_fuse
 from .errors import NumericError, ShapeError, StateError
 from .graph import ModelGraph, Node, check_input_size, node_param_entries
 from .reparam import fuse_conv_bn
@@ -44,17 +44,10 @@ def _eval_node(node: Node, ins: list[np.ndarray], bound, conv_fn) -> np.ndarray:
         return concat_channels(ins)
     if kind == "rephms":
         return rephms_forward(ins[0], bound)
-    if kind in ("saf", "aaf"):
-        rm = dict(zip(node.attrs["roles"], ins))
-        if kind == "saf":
-            return saf_fuse(
-                rm.get("below"), rm["same"], rm.get("above"),
-                rm.get("above_refined"), bound,
-            )
-        return aaf_fuse(
-            rm.get("below_refined"), rm.get("below_deep"), rm["same"],
-            rm.get("above_refined"), bound,
-        )
+    if kind in FUSION_ROLES:
+        by_role = dict(zip(node.attrs["roles"], ins))
+        fuse = saf_fuse if kind == "saf" else aaf_fuse
+        return fuse(*(by_role.get(role) for role in FUSION_ROLES[kind]), bound)
     if kind == "head":
         return ins[0]
     raise StateError(f"node '{node.name}' has unexecutable kind '{kind}'")

@@ -140,6 +140,38 @@ class TestReceptiveFieldPrimitives:
         assert entry.stride == 1
 
 
+class TestReceptiveFieldFusionRoles:
+    @pytest.mark.parametrize(
+        "kind, role, rf",
+        [
+            ("saf", "below", 9 + 2),  # avgpool: one step of the input's jump
+            ("saf", "above", 9),  # upsample, 1x1 conv
+            ("saf", "above_refined", 9),  # upsample
+            ("aaf", "below_refined", 9 + 2 * 2),  # 3x3/2 conv: two steps
+            ("aaf", "below_deep", 9 + 2),
+            ("aaf", "above_refined", 9),
+        ],
+    )
+    def test_role_rule(self, kind, role, rf):
+        # the same-level input sees a single pixel at jump 4, so the other
+        # input's path sets the node's rf; every role lands on jump 4
+        g = chain_graph()
+        g.add("finer", "conv", ("x",), kernel=9, stride=2)
+        g.add("same", "conv", ("x",), kernel=1, stride=4)
+        g.add("coarser", "conv", ("x",), kernel=9, stride=8)
+        other = "finer" if role.startswith("below") else "coarser"
+        g.add("fuse", kind, ("same", other), roles=("same", role))
+        entry = receptive_field(g)["fuse"]
+        assert (entry.rf, entry.stride) == (rf, 4)
+
+    def test_same_role_passes_through(self):
+        g = chain_graph()
+        g.add("c", "conv", ("x",), kernel=5, stride=2)
+        g.add("fuse", "aaf", ("c",), roles=("same",))
+        entry = receptive_field(g)["fuse"]
+        assert (entry.rf, entry.stride) == (5, 2)
+
+
 class TestModelReceptiveField:
     def test_head_rf_grows_with_stride(self):
         graph = assemble(load_preset("nano"))

@@ -101,6 +101,29 @@ class TestAssembly:
             assert g.node(f"backbone.{level}").attrs["kernel"] == kernel
 
 
+class TestFusionRoles:
+    @pytest.mark.parametrize(
+        "node, roles, reason",
+        [
+            ("neck.p4.shallow.fuse", ("below", "same", "abvoe", "above_refined"),
+             "unknown saf role 'abvoe'"),
+            ("neck.p4.shallow.fuse", ("below", "same", "above"), "for 4 inputs"),
+            ("neck.p4.shallow.fuse", ("below", "same", "same", "above_refined"),
+             "role 'same' twice"),
+            ("neck.p5.shallow.fuse", ("below", "above"), "lacks the 'same' role"),
+        ],
+        ids=["typo", "short", "duplicate", "missing-same"],
+    )
+    def test_bad_roles_rejected_when_added(self, node, roles, reason):
+        source = assemble(load_preset("lite-nano"))
+        g = ModelGraph()
+        with pytest.raises(GraphError, match=f"'{node}'.*{reason}"):
+            for n in source:
+                attrs = dict(n.attrs, roles=roles) if n.name == node else n.attrs
+                g.add(n.name, n.kind, n.inputs, **attrs)
+        assert node not in g.nodes
+
+
 class TestShapeInference:
     def test_head_shapes_at_default_size(self):
         shapes = shape_infer(nano_graph())
@@ -123,6 +146,14 @@ class TestShapeInference:
         g.node("neck.p4.deep.fuse").attrs["out_ch"] = 999
         with pytest.raises(GraphError, match="neck.p4.deep.fuse"):
             shape_infer(g)
+
+    def test_control_conv_input_width_is_checked(self):
+        # the ctrl unit is laid out from ``above_ch``; an input of another
+        # width would only fail inside the conv, naming no node
+        g = assemble(load_preset("lite-nano"))
+        g.node("neck.p4.shallow.fuse").attrs["above_ch"] += 8
+        with pytest.raises(ShapeError, match="neck.p4.shallow.fuse.*above input"):
+            shape_infer(g, 64)
 
 
 class TestBookkeeping:

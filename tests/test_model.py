@@ -270,10 +270,25 @@ class TestShapeProperty:
         graph = assemble(spec, plan)
         shapes = shape_infer(graph, size)
         x = np.random.default_rng(size).standard_normal((1, 3, size, size))
-        out = forward(graph, init_weights(graph, seed=0), x.astype(np.float32))
+        fused_shapes = []
+
+        def recording(fuse):
+            def wrapper(*args):
+                y = fuse(*args)
+                fused_shapes.append(y.shape)
+                return y
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("saf_fuse", "aaf_fuse"):
+                mp.setattr(mhaf.model, name, recording(getattr(mhaf.model, name)))
+            out = forward(graph, init_weights(graph, seed=0), x.astype(np.float32))
         assert {lv: y.shape for lv, y in out.items()} == {
             graph.node(name).attrs["level"]: (1, *shapes[name]) for name in graph.outputs
         }
+        assert fused_shapes == [
+            (1, *shapes[n.name]) for n in graph if n.kind in ("saf", "aaf")
+        ]
 
 
 class TestBenchmark:
