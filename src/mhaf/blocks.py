@@ -46,8 +46,6 @@ __all__ = [
     "BlockWeights",
     "RepHMSSpec",
     "RepHMSWeights",
-    "SAFWeights",
-    "AAFWeights",
     "FUSION_ROLES",
     "FUSION_UNITS",
     "conv_unit_forward",
@@ -66,7 +64,6 @@ __all__ = [
     "deploy_rephms",
     "random_conv_unit",
     "random_rephms",
-    "saf_output_channels",
 ]
 
 
@@ -368,40 +365,6 @@ FUSION_ROLES = {
 FUSION_UNITS = ("ctrl", "down")
 
 
-@dataclass
-class SAFWeights:
-    """Weights of a shallow fusion node: a single 1x1 channel-control conv
-    applied to the upsampled coarser backbone level.  Top-level nodes have
-    no coarser input and therefore no conv."""
-
-    ctrl: ConvUnit | None = None
-
-
-@dataclass
-class AAFWeights:
-    """Weights of a deep fusion node: a 3x3/stride-2 conv for the finer
-    refined level and a 1x1 control conv for the upsampled coarser refined
-    level.  Boundary nodes drop the corresponding conv."""
-
-    down: ConvUnit | None = None
-    ctrl: ConvUnit | None = None
-
-
-def saf_output_channels(
-    below_ch: int | None, same_ch: int, above_ch: int | None, above_refined_ch: int | None
-) -> int:
-    """Concat width produced by :func:`saf_fuse` (control conv emits half
-    the same-level width)."""
-    total = same_ch
-    if below_ch is not None:
-        total += below_ch
-    if above_ch is not None:
-        total += same_ch // 2
-    if above_refined_ch is not None:
-        total += above_refined_ch
-    return total
-
-
 def saf_layout(same_ch: int, above_ch: int | None) -> list[ConvUnitSpec]:
     """Weighted slots of a shallow fusion node."""
     if above_ch is None:
@@ -420,10 +383,12 @@ def aaf_layout(width: int, roles: tuple[str, ...]) -> list[ConvUnitSpec]:
     return [units[op] for op in ops if op in units]
 
 
-def _fusion_parts(kind: str, inputs: tuple, weights) -> list[np.ndarray]:
+def _fusion_parts(kind: str, inputs: tuple, weights: dict) -> list[np.ndarray]:
     """The concat terms of a fusion node: each present input, in role order,
     resampled to the resolution of ``same`` and passed through its role's
-    op.  ``ctrl`` and ``down`` run the node's unit of that name."""
+    op.  ``ctrl`` and ``down`` run the node's unit of that name, looked up
+    in ``weights``, a {slot path: ConvUnit} dict (see ``saf_layout`` and
+    ``aaf_layout``)."""
     table = FUSION_ROLES[kind]
     same = inputs[list(table).index("same")]
     parts = []
@@ -441,7 +406,7 @@ def _fusion_parts(kind: str, inputs: tuple, weights) -> list[np.ndarray]:
         if op == "pool":
             x = silu(avgpool2d(x))
         elif op in FUSION_UNITS:
-            unit = getattr(weights, op)
+            unit = weights.get(op)
             if unit is None:
                 raise StateError(f"{role} input given but node has no {op} conv")
             x = conv_unit_forward(x, unit)
@@ -454,7 +419,7 @@ def saf_fuse(
     same: np.ndarray,
     above: np.ndarray | None,
     above_refined: np.ndarray | None,
-    weights: SAFWeights,
+    weights: dict,
 ) -> np.ndarray:
     """Shallow cross-resolution fusion.
 
@@ -467,7 +432,8 @@ def saf_fuse(
     * the coarser refined feature, upsampled as-is.
 
     Boundary levels pass ``None`` for inputs that do not exist; the concat
-    simply shrinks.
+    simply shrinks.  ``weights`` is the node's {slot path: ConvUnit} dict,
+    holding ``ctrl`` when ``above`` is given.
     """
     return concat_channels(
         _fusion_parts("saf", (below, same, above, above_refined), weights)
@@ -479,7 +445,7 @@ def aaf_fuse(
     below_deep: np.ndarray | None,
     same_refined: np.ndarray,
     above_refined: np.ndarray | None,
-    weights: AAFWeights,
+    weights: dict,
 ) -> np.ndarray:
     """Deep cross-resolution fusion.
 
@@ -492,7 +458,8 @@ def aaf_fuse(
 
     All contributions carry the same channel width, so attention-style
     weighting downstream sees equal-sized operands; a width mismatch is a
-    wiring bug and raises.
+    wiring bug and raises.  ``weights`` is the node's {slot path: ConvUnit}
+    dict, holding ``down`` and ``ctrl`` when their inputs are given.
     """
     width = same_refined.shape[1]
     parts = _fusion_parts(

@@ -5,11 +5,12 @@ A graph is an ordered set of typed nodes (insertion order is topological by
 construction).  Primitive kinds (conv, bn, silu, pool, upsample, concat)
 carry their own semantics; composite kinds (rephms, saf, aaf) encapsulate a
 fusion node or aggregation module whose internal weighted slots are
-enumerated by the layout helpers in :mod:`mhaf.blocks`, so weight naming,
-initialization, binding, fusion and bookkeeping all derive from one
-description.  The fusion kinds' input roles (``attrs["roles"]``, one per
-input) come from :data:`mhaf.blocks.FUSION_ROLES`, the one place their
-resolutions and ops are defined; ``add`` rejects roles outside it.
+enumerated by the layout helpers in :mod:`mhaf.blocks`.  Weight entries are
+named only here (``node_param_entries``, ``slot_entries``); initialization,
+binding, fusion and bookkeeping read those lists.  The fusion kinds' input
+roles (``attrs["roles"]``, one per input) come from
+:data:`mhaf.blocks.FUSION_ROLES`, the one place their resolutions and ops
+are defined; ``add`` rejects roles outside it.
 
 Node naming is stable and positional (``backbone.p3``, ``neck.p4.shallow``,
 ``head.p5``), which weight stores rely on.
@@ -28,7 +29,6 @@ from .blocks import (
     aaf_layout,
     rephms_layout,
     saf_layout,
-    saf_output_channels,
 )
 from .config import ModelSpec, spec_hash
 from .errors import GraphError, ShapeError
@@ -45,6 +45,7 @@ __all__ = [
     "count_params_flops",
     "Bookkeeping",
     "node_param_entries",
+    "slot_entries",
     "graph_param_entries",
     "rephms_spec",
     "export_graph",
@@ -219,11 +220,23 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
         )
 
     bb = {lv: f"backbone.{lv}" for lv in BACKBONE_LEVELS}
+    ch = {bb[lv]: c for lv, c in zip(BACKBONE_LEVELS, cs)}
 
-    # each fusion node's sources in its kind's FUSION_ROLES order; None
-    # where a pyramid boundary drops the role
-    def by_role(kind, sources):
-        return zip(*((r, s) for r, s in zip(FUSION_ROLES[kind], sources) if s))
+    # one fusion node and the aggregation module after it; ``sources`` are
+    # in the kind's FUSION_ROLES order, None where a pyramid boundary drops
+    # the role
+    def add_fusion(level, pathway, kind, sources, **attrs):
+        roles, inputs = zip(*((r, s) for r, s in zip(FUSION_ROLES[kind], sources) if s))
+        fuse = f"neck.{level}.{pathway}.fuse"
+        probe = Node(fuse, kind, inputs, dict(roles=roles, **attrs))
+        out_ch = sum(_fusion_widths(probe, [ch[src] for src in inputs]))
+        graph.add(fuse, kind, inputs, roles=roles, **attrs, out_ch=out_ch)
+        name = add_rephms(
+            f"neck.{level}.{pathway}", fuse, out_ch, w,
+            spec.neck_streams, spec.scaled_neck_blocks,
+            plan.neck_kernel(level, pathway),
+        )
+        ch[name] = w
 
     # first fusion pathway (shallow), coarsest level first
     shallow = {
@@ -231,22 +244,10 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
         "p4": (bb["p3"], bb["p4"], bb["p5"], "neck.p5.shallow"),
         "p3": (bb["p2"], bb["p3"], bb["p4"], "neck.p4.shallow"),
     }
-    ch = {bb[lv]: c for lv, c in zip(BACKBONE_LEVELS, cs)}
     for level, sources in shallow.items():
-        roles, inputs = by_role("saf", sources)
-        below_ch, same_ch, above_ch = (ch.get(src) for src in sources[:3])
-        refined_ch = w if sources[3] else None
-        out_ch = saf_output_channels(below_ch, same_ch, above_ch, refined_ch)
-        fuse = f"neck.{level}.shallow.fuse"
-        graph.add(
-            fuse, "saf", inputs,
-            roles=roles, below_ch=below_ch, same_ch=same_ch,
-            above_ch=above_ch, refined_ch=refined_ch, out_ch=out_ch,
-        )
-        add_rephms(
-            f"neck.{level}.shallow", fuse, out_ch, w,
-            spec.neck_streams, spec.scaled_neck_blocks,
-            plan.neck_kernel(level, "shallow"),
+        add_fusion(
+            level, "shallow", "saf", sources,
+            same_ch=ch[sources[1]], above_ch=ch.get(sources[2]),
         )
 
     # second fusion pathway (deep), finest level first
@@ -256,14 +257,7 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
         "p5": ("neck.p4.shallow", "neck.p4.deep", "neck.p5.shallow", None),
     }
     for level, sources in deep.items():
-        roles, inputs = by_role("aaf", sources)
-        fuse = f"neck.{level}.deep.fuse"
-        graph.add(fuse, "aaf", inputs, roles=roles, width=w, out_ch=w * len(inputs))
-        add_rephms(
-            f"neck.{level}.deep", fuse, w * len(inputs), w,
-            spec.neck_streams, spec.scaled_neck_blocks,
-            plan.neck_kernel(level, "deep"),
-        )
+        add_fusion(level, "deep", "aaf", sources, width=w)
 
     for level in NECK_LEVELS:
         graph.add(
@@ -289,22 +283,15 @@ def check_input_size(node: Node, hw: tuple[int, int]) -> None:
         )
 
 
-def _fusion_shape(node: Node, ins: list[tuple[int, int, int]]) -> tuple[int, int, int]:
-    """Output shape of a fusion node: every input sits at its role's
-    resolution, and contributes its own channels or, through a conv unit,
-    that unit's output channels."""
+def _fusion_widths(node: Node, channels) -> list[int]:
+    """Each input's contribution to a fusion node's concat, in role order:
+    the input's own ``channels`` or, for a ``ctrl``/``down`` role, the
+    output channels of the node's unit of that name."""
     table = FUSION_ROLES[node.kind]
-    roles = node.attrs["roles"]
-    h, wd = next(s[1:] for role, s in zip(roles, ins) if table[role][0] == 1)
-    slots = {slot.path: slot for slot in node_slots(node)}
+    slots = {slot.path: slot for slot in node_slots(node).values()}
     widths = []
-    for role, (c, h_in, w_in) in zip(roles, ins):
-        scale, op = table[role]
-        if (h_in, w_in) != (h * scale, wd * scale):
-            raise ShapeError(
-                f"node '{node.name}': {role} input is {h_in}x{w_in}, "
-                f"expected {h * scale:g}x{wd * scale:g}"
-            )
+    for role, c in zip(node.attrs["roles"], channels):
+        op = table[role][1]
         if op in FUSION_UNITS:
             want = slots[op].in_ch if op in slots else None
             if c != want:
@@ -314,6 +301,23 @@ def _fusion_shape(node: Node, ins: list[tuple[int, int, int]]) -> tuple[int, int
                 )
             c = slots[op].out_ch
         widths.append(c)
+    return widths
+
+
+def _fusion_shape(node: Node, ins: list[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Output shape of a fusion node: every input sits at its role's
+    resolution, and contributes the width :func:`_fusion_widths` gives."""
+    table = FUSION_ROLES[node.kind]
+    roles = node.attrs["roles"]
+    h, wd = next(s[1:] for role, s in zip(roles, ins) if table[role][0] == 1)
+    for role, (_, h_in, w_in) in zip(roles, ins):
+        scale = table[role][0]
+        if (h_in, w_in) != (h * scale, wd * scale):
+            raise ShapeError(
+                f"node '{node.name}': {role} input is {h_in}x{w_in}, "
+                f"expected {h * scale:g}x{wd * scale:g}"
+            )
+    widths = _fusion_widths(node, [s[0] for s in ins])
     if node.kind == "aaf" and len(set(widths)) != 1:
         raise ShapeError(
             f"node '{node.name}' expects equal channel widths, but its "
@@ -469,15 +473,26 @@ def _mixer_entries(prefix: str, mixer: MixerSpec, form: str) -> list[ParamEntry]
     return entries
 
 
-def node_slots(node: Node) -> list[ConvUnitSpec | MixerSpec]:
-    """Weighted slots inside a composite node (empty for primitives)."""
+def node_slots(node: Node) -> dict[str, ConvUnitSpec | MixerSpec]:
+    """{entry prefix ``node.slot-path``: slot} for every weighted slot
+    inside a composite node, in slot order (empty for primitives)."""
     if node.kind == "rephms":
-        return rephms_layout(rephms_spec(node))
-    if node.kind == "saf":
-        return saf_layout(node.attrs["same_ch"], node.attrs["above_ch"])
-    if node.kind == "aaf":
-        return aaf_layout(node.attrs["width"], node.attrs["roles"])
-    return []
+        slots = rephms_layout(rephms_spec(node))
+    elif node.kind == "saf":
+        slots = saf_layout(node.attrs["same_ch"], node.attrs["above_ch"])
+    elif node.kind == "aaf":
+        slots = aaf_layout(node.attrs["width"], node.attrs["roles"])
+    else:
+        slots = []
+    return {f"{node.name}.{slot.path}": slot for slot in slots}
+
+
+def slot_entries(prefix: str, slot: ConvUnitSpec | MixerSpec, form: str) -> list[ParamEntry]:
+    """The entries of one weighted slot of a composite node, named
+    ``prefix.*``, in the given form."""
+    if isinstance(slot, MixerSpec):
+        return _mixer_entries(prefix, slot, form)
+    return _unit_entries(prefix, slot, form)
 
 
 def node_param_entries(node: Node, form: str) -> list[ParamEntry]:
@@ -491,14 +506,11 @@ def node_param_entries(node: Node, form: str) -> list[ParamEntry]:
         return entries
     if node.kind == "bn":
         return _bn_entries(node.name, node.attrs["channels"])
-    entries: list[ParamEntry] = []
-    for slot in node_slots(node):
-        prefix = f"{node.name}.{slot.path}"
-        if isinstance(slot, MixerSpec):
-            entries.extend(_mixer_entries(prefix, slot, form))
-        else:
-            entries.extend(_unit_entries(prefix, slot, form))
-    return entries
+    return [
+        entry
+        for prefix, slot in node_slots(node).items()
+        for entry in slot_entries(prefix, slot, form)
+    ]
 
 
 def graph_param_entries(graph: ModelGraph) -> list[ParamEntry]:

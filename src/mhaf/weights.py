@@ -2,6 +2,11 @@
 the structured forms the block functions consume, and a checksummed binary
 container.
 
+Entry names belong to :mod:`mhaf.graph`: binding reads the entries that
+``slot_entries`` and ``node_param_entries`` list for a slot or node and
+picks each array by its entry kind (``conv_weight``, ``conv_bias``,
+``bn_*``), so this module spells no entry name of its own.
+
 Container layout (all integers little-endian):
 
 * magic ``MHWT``, u32 version (currently 1), u32 entry count;
@@ -32,16 +37,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import (
-    AAFWeights,
-    ConvUnit,
-    ConvUnitSpec,
-    MixerSpec,
-    SAFWeights,
-    rephms_from_units,
-)
+from .blocks import FUSION_ROLES, ConvUnit, ConvUnitSpec, MixerSpec, rephms_from_units
 from .errors import ShapeError, StateError, WeightFileError
-from .graph import ModelGraph, Node, graph_param_entries, node_slots, rephms_spec
+from .graph import (
+    ModelGraph,
+    Node,
+    ParamEntry,
+    graph_param_entries,
+    node_param_entries,
+    node_slots,
+    rephms_spec,
+    slot_entries,
+)
 from .reparam import RepHConvWeights
 from .tensor import BNParams, ConvKernel
 
@@ -137,76 +144,76 @@ def validate_store(graph: ModelGraph, store: WeightStore) -> None:
 # binding flat entries into structured block weights
 
 
-def _bind_bn(store: WeightStore, prefix: str) -> BNParams:
+def _by_kind(store: WeightStore, entries: list[ParamEntry]) -> list[dict]:
+    """The listed arrays as one {entry kind: array} dict per conv; each
+    ``conv_weight`` opens the next dict, and a list without one (a ``bn``
+    node's) is a single dict."""
+    convs: list[dict] = []
+    for entry in entries:
+        if entry.kind == "conv_weight" or not convs:
+            convs.append({})
+        convs[-1][entry.kind] = store[entry.name]
+    return convs
+
+
+def _kernel(arrays: dict, stride: int, groups: int) -> ConvKernel:
+    w, b = arrays["conv_weight"], arrays.get("conv_bias")
+    return ConvKernel(weights=w, bias=b, stride=stride, groups=groups)
+
+
+def _bn(arrays: dict) -> BNParams | None:
+    if "bn_mean" not in arrays:
+        return None
     return BNParams(
-        mean=store[f"{prefix}.mean"],
-        var=store[f"{prefix}.var"],
-        gamma=store[f"{prefix}.gamma"],
-        beta=store[f"{prefix}.beta"],
+        mean=arrays["bn_mean"],
+        var=arrays["bn_var"],
+        gamma=arrays["bn_gamma"],
+        beta=arrays["bn_beta"],
     )
 
 
 def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, form: str):
-    """Materialize one weighted slot of a composite node, whose entries are
-    named ``prefix.*``: a ConvUnit for a conv-unit slot, RepHConvWeights for
-    a mixer slot, each in the given form."""
+    """Materialize one weighted slot of a composite node from the entries
+    :func:`mhaf.graph.slot_entries` lists for it: a ConvUnit for a
+    conv-unit slot, RepHConvWeights for a mixer slot, each in the given
+    form.  Stride, groups and activation come from the slot."""
+    convs = _by_kind(store, slot_entries(prefix, slot, form))
     if isinstance(slot, MixerSpec):
         spec = slot.spec
+        branches = [(_kernel(a, 1, spec.channels), _bn(a)) for a in convs]
         if form == "deployed":
-            fused = ConvKernel(
-                weights=store[f"{prefix}.fused.weight"],
-                bias=store[f"{prefix}.fused.bias"],
-                stride=1,
-                groups=spec.channels,
-            )
+            ((fused, _),) = branches
             return RepHConvWeights(spec=spec, fused=fused)
-        branches = []
-        for k in spec.all_kernels:
-            w = store[f"{prefix}.k{k}.conv.weight"]
-            kernel = ConvKernel(weights=w, stride=1, groups=spec.channels)
-            branches.append((kernel, _bind_bn(store, f"{prefix}.k{k}.bn")))
         return RepHConvWeights(spec=spec, branches=branches)
-    deployed = form == "deployed"
-    kernel = ConvKernel(
-        weights=store[f"{prefix}.conv.weight"],
-        bias=store[f"{prefix}.conv.bias"] if deployed else None,
-        stride=slot.stride,
-        groups=slot.groups,
-    )
-    bn = None if deployed else _bind_bn(store, f"{prefix}.bn")
-    return ConvUnit(kernel=kernel, bn=bn, act=slot.act)
+    (arrays,) = convs
+    kernel = _kernel(arrays, slot.stride, slot.groups)
+    return ConvUnit(kernel=kernel, bn=_bn(arrays), act=slot.act)
 
 
 def bind_slots(node: Node, store: WeightStore, form: str) -> dict:
     """{slot path: :func:`bind_slot` result} for every weighted slot of a
     composite node, in slot order (empty for primitive kinds)."""
     return {
-        slot.path: bind_slot(store, f"{node.name}.{slot.path}", slot, form)
-        for slot in node_slots(node)
+        slot.path: bind_slot(store, prefix, slot, form)
+        for prefix, slot in node_slots(node).items()
     }
 
 
 def bind_node_weights(node: Node, store: WeightStore, form: str):
-    """Materialize the structured weights of one graph node from the flat
-    store.  Returns an object matching the node kind (ConvKernel, BNParams,
-    RepHMSWeights, SAFWeights, AAFWeights) or None for weightless kinds."""
-    if node.kind == "conv":
-        a = node.attrs
-        bias = store[f"{node.name}.bias"] if a.get("bias") else None
-        return ConvKernel(
-            weights=store[f"{node.name}.weight"],
-            bias=bias,
-            stride=a["stride"],
-            groups=a["groups"],
-        )
-    if node.kind == "bn":
-        return _bind_bn(store, node.name)
+    """Materialize the structured weights of one graph node from the
+    entries :func:`mhaf.graph.node_param_entries` lists for it.  Returns a
+    ConvKernel (stride and groups from the node's attrs), BNParams,
+    RepHMSWeights, the {slot path: ConvUnit} dict of a fusion node, or None
+    for weightless kinds."""
+    if node.kind in ("conv", "bn"):
+        (arrays,) = _by_kind(store, node_param_entries(node, form))
+        if node.kind == "bn":
+            return _bn(arrays)
+        return _kernel(arrays, node.attrs["stride"], node.attrs["groups"])
     if node.kind == "rephms":
         return rephms_from_units(rephms_spec(node), bind_slots(node, store, form))
-    if node.kind == "saf":
-        return SAFWeights(**bind_slots(node, store, form))
-    if node.kind == "aaf":
-        return AAFWeights(**bind_slots(node, store, form))
+    if node.kind in FUSION_ROLES:
+        return bind_slots(node, store, form)
     return None
 
 

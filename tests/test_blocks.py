@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from mhaf.blocks import (
-    AAFWeights,
     ConvUnitSpec,
     RepHMSSpec,
-    SAFWeights,
     aaf_fuse,
     block_forward,
     conv_unit_forward,
@@ -20,7 +18,6 @@ from mhaf.blocks import (
     rephms_forward,
     rephms_layout,
     saf_fuse,
-    saf_output_channels,
 )
 from mhaf.errors import ShapeError, StateError
 from mhaf.reparam import RepHConvSpec, random_rephconv
@@ -158,9 +155,9 @@ class TestRepHMS:
 
 class TestShallowFusion:
     def setup_weights(self, rng, same_ch, above_ch):
-        return SAFWeights(
-            ctrl=random_conv_unit(ConvUnitSpec("ctrl", above_ch, same_ch // 2, 1), rng)
-        )
+        return {
+            "ctrl": random_conv_unit(ConvUnitSpec("ctrl", above_ch, same_ch // 2, 1), rng)
+        }
 
     def test_reference_channel_example(self):
         """Backbone widths (64, 128, 256) with a 128-wide refined input fuse
@@ -173,7 +170,6 @@ class TestShallowFusion:
         weights = self.setup_weights(rng, 128, 256)
         out = saf_fuse(below, same, above, refined, weights)
         assert out.shape == (1, 384, 8, 8)
-        assert saf_output_channels(64, 128, 256, 128) == 384
 
     def test_term_order_and_content(self):
         """The concat is (pooled finer, same, controlled coarser, upsampled
@@ -188,7 +184,7 @@ class TestShallowFusion:
         assert np.array_equal(out[:, :8], silu(avgpool2d(below)))
         assert np.array_equal(out[:, 8:24], same)
         assert np.array_equal(
-            out[:, 24:32], conv_unit_forward(upsample2x(above), weights.ctrl)
+            out[:, 24:32], conv_unit_forward(upsample2x(above), weights["ctrl"])
         )
         assert np.array_equal(out[:, 32:], upsample2x(refined))
 
@@ -197,7 +193,7 @@ class TestShallowFusion:
         rng = np.random.default_rng(42)
         below = rng.standard_normal((1, 8, 8, 8)).astype(np.float32)
         same = rng.standard_normal((1, 16, 4, 4)).astype(np.float32)
-        out = saf_fuse(below, same, None, None, SAFWeights())
+        out = saf_fuse(below, same, None, None, {})
         assert out.shape == (1, 24, 4, 4)
 
     def test_missing_control_conv_rejected(self):
@@ -205,30 +201,26 @@ class TestShallowFusion:
         same = rng.standard_normal((1, 16, 4, 4)).astype(np.float32)
         above = rng.standard_normal((1, 32, 2, 2)).astype(np.float32)
         with pytest.raises(StateError):
-            saf_fuse(None, same, above, None, SAFWeights())
+            saf_fuse(None, same, above, None, {})
 
     def test_resolution_mismatch_rejected(self):
         rng = np.random.default_rng(44)
         same = rng.standard_normal((1, 16, 4, 4)).astype(np.float32)
         bad_below = rng.standard_normal((1, 8, 6, 6)).astype(np.float32)
         with pytest.raises(ShapeError, match="twice"):
-            saf_fuse(bad_below, same, None, None, SAFWeights())
+            saf_fuse(bad_below, same, None, None, {})
 
 
 class TestDeepFusion:
     def make_weights(self, rng, width, has_below=True, has_above=True):
-        return AAFWeights(
-            down=(
-                random_conv_unit(ConvUnitSpec("down", width, width, 3, stride=2), rng)
-                if has_below
-                else None
-            ),
-            ctrl=(
-                random_conv_unit(ConvUnitSpec("ctrl", width, width, 1), rng)
-                if has_above
-                else None
-            ),
-        )
+        weights = {}
+        if has_below:
+            weights["down"] = random_conv_unit(
+                ConvUnitSpec("down", width, width, 3, stride=2), rng
+            )
+        if has_above:
+            weights["ctrl"] = random_conv_unit(ConvUnitSpec("ctrl", width, width, 1), rng)
+        return weights
 
     def test_four_equal_contributions(self):
         rng = np.random.default_rng(50)
@@ -251,7 +243,7 @@ class TestDeepFusion:
         below_deep = rng.standard_normal((1, 8, 8, 8)).astype(np.float32)
         same = rng.standard_normal((1, 16, 4, 4)).astype(np.float32)
         with pytest.raises(ShapeError, match="equal channel widths"):
-            aaf_fuse(None, below_deep, same, None, AAFWeights())
+            aaf_fuse(None, below_deep, same, None, {})
 
     def test_finest_level_boundary(self):
         """The finest node has no finer inputs: two-term concat."""
@@ -280,4 +272,4 @@ class TestDeepFusion:
         below = rng.standard_normal((1, w, 16, 16)).astype(np.float32)
         same = rng.standard_normal((1, w, 8, 8)).astype(np.float32)
         with pytest.raises(StateError):
-            aaf_fuse(below, None, same, None, AAFWeights())
+            aaf_fuse(below, None, same, None, {})

@@ -63,6 +63,34 @@ class TestUsageErrors:
         assert code == 1
         assert "neither a preset" in err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("shapes", "--input", "0"),
+            ("init", "--seed", "-1"),
+            ("fuse", "--seed", "-1"),
+            ("fuse", "--trials", "0"),
+            ("fuse", "--input", "-64"),
+            ("verify", "--seed", "-1"),
+            ("verify", "--trials", "0"),
+            ("bench", "--seed", "-1"),
+            ("bench", "--trials", "-3"),
+            ("bench", "--input", "0"),
+        ],
+    )
+    def test_out_of_range_number_names_its_flag(self, capsys, tmp_path, command, flag, value):
+        """Counts and sizes must be positive and seeds non-negative; a bad
+        value is a usage error before anything runs or is written."""
+        out = tmp_path / "w.mhwt"
+        argv = [command, "lite-nano", flag, value]
+        if command in ("init", "fuse"):
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_clean_config_passes(self, capsys):

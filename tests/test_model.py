@@ -209,7 +209,7 @@ def deployed_entries_by_hand(graph, store):
             emit(f"{node.name}.exit", deployed.exit)
         elif node.kind in ("saf", "aaf"):
             for slot in ("down", "ctrl"):
-                unit = getattr(bound, slot, None)
+                unit = bound.get(slot)
                 if unit is not None:
                     emit(f"{node.name}.{slot}", deploy_conv_unit(unit))
     return out

@@ -10,7 +10,6 @@ import pytest
 
 from mhaf.errors import KernelError, StateError
 from mhaf.reparam import (
-    EquivalenceReport,
     RepHConvSpec,
     RepHConvWeights,
     fuse_conv_bn,

@@ -1,5 +1,6 @@
 """Tests for weight initialization and the checksummed container format."""
 
+import dataclasses
 import os
 import struct
 
@@ -8,10 +9,13 @@ import pytest
 
 from mhaf.config import load_preset
 from mhaf.errors import ShapeError, StateError, WeightFileError
-from mhaf.graph import assemble
+from mhaf.graph import assemble, node_param_entries
+from mhaf.model import fuse_model
+from mhaf.tensor import BNParams, ConvKernel
 from mhaf.weights import (
     LANES,
     WeightStore,
+    bind_node_weights,
     crc64_xz,
     init_weights,
     load_weights,
@@ -33,6 +37,34 @@ def crc64_bitwise(data):
 
 def small_store():
     return init_weights(assemble(load_preset("lite-nano")), seed=0)
+
+
+# the entry kind each array field of the bound structures holds
+FIELD_KIND = {
+    (ConvKernel, "weights"): "conv_weight",
+    (ConvKernel, "bias"): "conv_bias",
+    (BNParams, "mean"): "bn_mean",
+    (BNParams, "var"): "bn_var",
+    (BNParams, "gamma"): "bn_gamma",
+    (BNParams, "beta"): "bn_beta",
+}
+
+
+def reached_arrays(bound):
+    """(entry kind, array) for every array reachable from a bound weight
+    object, found by walking dataclass fields, lists, tuples and dicts."""
+    if isinstance(bound, dict):
+        bound = list(bound.values())
+    if isinstance(bound, (list, tuple)):
+        for item in bound:
+            yield from reached_arrays(item)
+    elif dataclasses.is_dataclass(bound):
+        for f in dataclasses.fields(bound):
+            value = getattr(bound, f.name)
+            if isinstance(value, np.ndarray):
+                yield FIELD_KIND[type(bound), f.name], value
+            else:
+                yield from reached_arrays(value)
 
 
 def craft_file(path, entries, version=1, count=None, pad=b""):
@@ -143,6 +175,33 @@ class TestInitialization:
     def test_unknown_lookup_raises(self):
         with pytest.raises(StateError, match="no entry"):
             small_store()["nonexistent.weight"]
+
+
+class TestBindingIdentity:
+    @pytest.mark.parametrize("scale", ["nano", "small"])
+    @pytest.mark.parametrize("form", ["training", "deployed"])
+    def test_bound_arrays_are_the_listed_entries_of_their_kind(self, scale, form):
+        """Binding hands out the store's own arrays: each one a listed entry
+        of the node, in the field of the entry's kind, and every listed
+        entry reached.  A kernel without a listed bias gets a fresh zero
+        vector, which is no store entry."""
+        graph = assemble(load_preset(scale))
+        store = init_weights(graph, seed=0)
+        if form == "deployed":
+            outcome = fuse_model(graph, store)
+            graph, store = outcome.graph, outcome.store
+        stored = {id(arr) for arr in store.entries.values()}
+        for node in graph:
+            listed = {id(store[e.name]): e.kind for e in node_param_entries(node, form)}
+            seen = set()
+            for kind, arr in reached_arrays(bind_node_weights(node, store, form)):
+                if id(arr) in listed:
+                    assert listed[id(arr)] == kind, (node.name, kind)
+                    seen.add(id(arr))
+                else:
+                    assert kind == "conv_bias", (node.name, kind)
+                    assert id(arr) not in stored and not arr.any(), node.name
+            assert seen == set(listed), node.name
 
 
 class TestRoundTrip:
