@@ -7,17 +7,23 @@ streams, runs a few blocks per stream with cascade connections between
 neighbouring streams, keeps every intermediate output, and concatenates the
 lot before a final 1x1.  Each block's spatial mixer is itself a multi-branch
 depthwise unit, so the whole block re-parameterizes for deployment.
+
+The module's weights are one {slot path: unit} dict keyed by its layout,
+and deploying it folds every slot through the same ``fold_slot`` that
+whole-model fusion runs.
 """
 
 import numpy as np
 
 from mhaf.blocks import (
+    ConvUnit,
     RepHMSSpec,
-    deploy_rephms,
+    fold_slot,
     random_rephms,
     rephms_concat_width,
     rephms_forward,
 )
+from mhaf.reparam import RepHConvWeights
 
 rng = np.random.default_rng(2)
 
@@ -31,20 +37,27 @@ print(f"stream width      {spec.stream_width}")
 print(f"retained tensors  1 + {(spec.streams - 1) * spec.blocks_per_stream}")
 print(f"concat width      {rephms_concat_width(spec)}")
 
-weights = random_rephms(spec, rng)
+units = random_rephms(spec, rng)
+print(f"\nslots             {len(units)}: {', '.join(list(units)[:5])}, ...")
 x = rng.standard_normal((1, 32, 24, 24)).astype(np.float32)
-y = rephms_forward(x, weights)
-print(f"\nforward: {tuple(x.shape)} -> {tuple(y.shape)}")
+y = rephms_forward(x, spec, units)
+print(f"forward: {tuple(x.shape)} -> {tuple(y.shape)}")
 
-# deployment folds every BN and collapses every mixer branch stack
-deployed = deploy_rephms(weights)
-y2 = rephms_forward(x, deployed)
+# deployment folds every BN and collapses every mixer branch stack, one
+# slot at a time
+deployed = {
+    path: RepHConvWeights(spec=unit.spec, fused=fold_slot(unit))
+    if isinstance(unit, RepHConvWeights)
+    else ConvUnit(kernel=fold_slot(unit), act=unit.act)
+    for path, unit in units.items()
+}
+y2 = rephms_forward(x, spec, deployed)
 print(f"deployed forward gap: {np.max(np.abs(y - y2)):.2e}")
 
 # the cascade matters: the third stream's input adds the second stream's
 # final block output, so zeroing that block's projection perturbs
 # everything downstream of it
-weights.streams[0][-1].proj.kernel.weights[:] = 0.0
-y3 = rephms_forward(x, weights)
+units[f"s2.b{spec.blocks_per_stream}.proj"].kernel.weights[:] = 0.0
+y3 = rephms_forward(x, spec, units)
 print(f"after zeroing the cascaded block: output changed = "
       f"{not np.allclose(y, y3)}")

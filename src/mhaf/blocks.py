@@ -2,11 +2,13 @@
 the multi-stream aggregation module built from it, and the two
 cross-resolution fusion nodes used by the neck.
 
-Everything here is a pure function over explicit weight structures; there
-is no hidden module state.  Each structure exists in a training form
-(convs followed by batch norm, multi-branch mixers) and a deployed form
-(BN folded away, branches merged), and the ``deploy_*`` functions convert
-one into the other while preserving the computed function.
+Everything here is a pure function over explicit weights; there is no
+hidden module state.  Every composite node takes its weights as one
+{slot path: ConvUnit | RepHConvWeights} dict keyed by its layout
+(``rephms_layout``, ``saf_layout``, ``aaf_layout``).  Each slot exists in a
+training form (a conv followed by batch norm, or a multi-branch mixer) and a
+deployed form (BN folded away, branches merged), and :func:`fold_slot` is
+the one mapping from the first to the second.
 
 ``FUSION_ROLES`` is the one place the fusion nodes' input roles are
 defined: each role's resolution and the op it takes before the concat.
@@ -43,13 +45,10 @@ __all__ = [
     "ConvUnit",
     "ConvUnitSpec",
     "MixerSpec",
-    "BlockWeights",
     "RepHMSSpec",
-    "RepHMSWeights",
     "FUSION_ROLES",
     "FUSION_UNITS",
     "conv_unit_forward",
-    "block_forward",
     "rephms_forward",
     "saf_fuse",
     "aaf_fuse",
@@ -57,11 +56,7 @@ __all__ = [
     "saf_layout",
     "aaf_layout",
     "rephms_concat_width",
-    "rephms_from_units",
-    "deploy_conv_unit",
     "fold_slot",
-    "deploy_block",
-    "deploy_rephms",
     "random_conv_unit",
     "random_rephms",
 ]
@@ -94,19 +89,30 @@ def conv_unit_forward(x: np.ndarray, unit: ConvUnit) -> np.ndarray:
     return silu(y) if unit.act else y
 
 
-def deploy_conv_unit(unit: ConvUnit) -> ConvUnit:
-    """Fold the BN (if any) into the conv, keeping the activation flag."""
-    if unit.bn is None:
-        return unit
-    return ConvUnit(kernel=fuse_conv_bn(unit.kernel, unit.bn), bn=None, act=unit.act)
-
-
 def fold_slot(unit: ConvUnit | RepHConvWeights) -> ConvKernel:
     """The one bias-carrying kernel a training-form slot deploys to: a conv
-    unit's BN folded into its conv, or a mixer's branches merged."""
+    unit's BN folded into its conv, or a mixer's branches merged.  A merged
+    mixer raises rather than merging again."""
     if isinstance(unit, RepHConvWeights):
         return merge_heterogeneous(unit).fused
-    return deploy_conv_unit(unit).kernel
+    return unit.kernel if unit.bn is None else fuse_conv_bn(unit.kernel, unit.bn)
+
+
+def _slot_forward(x: np.ndarray, unit: ConvUnit | RepHConvWeights) -> np.ndarray:
+    if isinstance(unit, RepHConvWeights):
+        return rephconv_forward(x, unit)
+    return conv_unit_forward(x, unit)
+
+
+def _check_slots(paths: list[str], units: dict) -> None:
+    """Reject a slot dict whose paths differ from a layout's ``paths``,
+    naming the first missing or unexpected path."""
+    for path in paths:
+        if path not in units:
+            raise StateError(f"weights lack slot '{path}'")
+    for path in units:
+        if path not in paths:
+            raise StateError(f"weights carry unexpected slot '{path}'")
 
 
 @dataclass(frozen=True)
@@ -129,52 +135,6 @@ class MixerSpec:
 
     path: str
     spec: RepHConvSpec
-
-
-@dataclass
-class BlockWeights:
-    """The bottleneck block: 1x1 expand (BN+SiLU), multi-branch depthwise
-    mixer (per-branch BN, linear), 1x1 pointwise (BN+SiLU), and a linear
-    1x1 projection back to the block width (BN, no activation)."""
-
-    expand: ConvUnit
-    mixer: RepHConvWeights
-    pw: ConvUnit
-    proj: ConvUnit
-
-    def __post_init__(self):
-        ec = self.expand.kernel.out_channels
-        if self.mixer.spec.channels != ec:
-            raise ShapeError(
-                f"mixer runs on {self.mixer.spec.channels} channels but expand "
-                f"produces {ec}"
-            )
-        if self.pw.kernel.in_channels != ec or self.pw.kernel.out_channels != ec:
-            raise ShapeError("pointwise conv must preserve the expanded width")
-        if self.proj.kernel.in_channels != ec:
-            raise ShapeError("projection conv must consume the expanded width")
-        if self.proj.act:
-            raise StateError("projection unit must be linear (no activation)")
-
-    @property
-    def channels(self) -> int:
-        return self.proj.kernel.out_channels
-
-
-def block_forward(x: np.ndarray, block: BlockWeights) -> np.ndarray:
-    y = conv_unit_forward(x, block.expand)
-    y = rephconv_forward(y, block.mixer)
-    y = conv_unit_forward(y, block.pw)
-    return conv_unit_forward(y, block.proj)
-
-
-def deploy_block(block: BlockWeights) -> BlockWeights:
-    return BlockWeights(
-        expand=deploy_conv_unit(block.expand),
-        mixer=merge_heterogeneous(block.mixer),
-        pw=deploy_conv_unit(block.pw),
-        proj=deploy_conv_unit(block.proj),
-    )
 
 
 @dataclass(frozen=True)
@@ -256,86 +216,28 @@ def rephms_layout(spec: RepHMSSpec) -> list[ConvUnitSpec | MixerSpec]:
     return slots
 
 
-@dataclass
-class RepHMSWeights:
-    """Weights of one aggregation module.  ``streams[i]`` holds the blocks
-    of stream ``i + 2`` (stream 1 has none)."""
-
-    spec: RepHMSSpec
-    entry: ConvUnit
-    streams: list[list[BlockWeights]]
-    exit: ConvUnit
-
-    def __post_init__(self):
-        n, m = self.spec.streams, self.spec.blocks_per_stream
-        if len(self.streams) != n - 1 or any(len(s) != m for s in self.streams):
-            raise ShapeError(
-                f"expected {n - 1} streams of {m} blocks, got "
-                f"{[len(s) for s in self.streams]}"
-            )
-        if self.entry.kernel.out_channels != self.spec.hidden:
-            raise ShapeError("entry conv must produce the hidden width")
-        want = rephms_concat_width(self.spec)
-        if self.exit.kernel.in_channels != want:
-            raise ShapeError(
-                f"exit conv consumes {self.exit.kernel.in_channels} channels "
-                f"but the concat produces {want}"
-            )
-
-    @property
-    def form(self) -> str:
-        return "deployed" if self.entry.bn is None else "training"
-
-
-def rephms_forward(x: np.ndarray, weights: RepHMSWeights) -> np.ndarray:
+def rephms_forward(x: np.ndarray, spec: RepHMSSpec, units: dict) -> np.ndarray:
     """Entry conv, split, cascaded streams with every block output retained,
-    concat, exit conv."""
-    spec = weights.spec
-    y = conv_unit_forward(x, weights.entry)
-    chunks = split_channels(y, spec.streams)
+    concat, exit conv.  ``units`` is the module's {slot path: ConvUnit |
+    RepHConvWeights} dict, keyed exactly by :func:`rephms_layout`, whose
+    order is evaluation order: the entry, each stream's blocks (an equal
+    run of slots each), the exit."""
+    paths = [slot.path for slot in rephms_layout(spec)]
+    _check_slots(paths, units)
+    entry, *inner, exit_ = paths
+    m = spec.blocks_per_stream
+    size = len(inner) // ((spec.streams - 1) * m)  # slots per block
+    blocks = [inner[i : i + size] for i in range(0, len(inner), size)]
+    chunks = split_channels(conv_unit_forward(x, units[entry]), spec.streams)
     retained = [chunks[0]]
-    carry = None
-    for chunk, blocks in zip(chunks[1:], weights.streams):
-        h = chunk if carry is None else chunk + carry
-        for block in blocks:
-            h = block_forward(h, block)
+    h = None
+    for s, chunk in enumerate(chunks[1:]):
+        h = chunk if h is None else chunk + h
+        for block in blocks[s * m : (s + 1) * m]:
+            for path in block:
+                h = _slot_forward(h, units[path])
             retained.append(h)
-        carry = h
-    return conv_unit_forward(concat_channels(retained), weights.exit)
-
-
-def deploy_rephms(weights: RepHMSWeights) -> RepHMSWeights:
-    if weights.form == "deployed":
-        raise StateError("module is already in deployed form")
-    return RepHMSWeights(
-        spec=weights.spec,
-        entry=deploy_conv_unit(weights.entry),
-        streams=[[deploy_block(b) for b in s] for s in weights.streams],
-        exit=deploy_conv_unit(weights.exit),
-    )
-
-
-def rephms_from_units(spec: RepHMSSpec, units: dict) -> RepHMSWeights:
-    """Assemble structured weights from a {slot path: ConvUnit | mixer}
-    mapping, e.g. one produced by binding a flat weight store against
-    :func:`rephms_layout`."""
-    streams = []
-    for s in range(2, spec.streams + 1):
-        blocks = []
-        for b in range(1, spec.blocks_per_stream + 1):
-            base = f"s{s}.b{b}"
-            blocks.append(
-                BlockWeights(
-                    expand=units[f"{base}.expand"],
-                    mixer=units[f"{base}.mixer"],
-                    pw=units[f"{base}.pw"],
-                    proj=units[f"{base}.proj"],
-                )
-            )
-        streams.append(blocks)
-    return RepHMSWeights(
-        spec=spec, entry=units["entry"], streams=streams, exit=units["exit"]
-    )
+    return conv_unit_forward(concat_channels(retained), units[exit_])
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +288,12 @@ def aaf_layout(width: int, roles: tuple[str, ...]) -> list[ConvUnitSpec]:
 def _fusion_parts(kind: str, inputs: tuple, weights: dict) -> list[np.ndarray]:
     """The concat terms of a fusion node: each present input, in role order,
     resampled to the resolution of ``same`` and passed through its role's
-    op.  ``ctrl`` and ``down`` run the node's unit of that name, looked up
-    in ``weights``, a {slot path: ConvUnit} dict (see ``saf_layout`` and
-    ``aaf_layout``)."""
+    op.  ``ctrl`` and ``down`` run the node's unit of that name from
+    ``weights``, a {slot path: ConvUnit} dict keyed exactly by the slots of
+    the present roles (``saf_layout``, ``aaf_layout``)."""
     table = FUSION_ROLES[kind]
+    ops = [op for (_, op), x in zip(table.values(), inputs) if x is not None]
+    _check_slots([op for op in ops if op in FUSION_UNITS], weights)
     same = inputs[list(table).index("same")]
     parts = []
     for (role, (scale, op)), x in zip(table.items(), inputs):
@@ -406,10 +310,7 @@ def _fusion_parts(kind: str, inputs: tuple, weights: dict) -> list[np.ndarray]:
         if op == "pool":
             x = silu(avgpool2d(x))
         elif op in FUSION_UNITS:
-            unit = weights.get(op)
-            if unit is None:
-                raise StateError(f"{role} input given but node has no {op} conv")
-            x = conv_unit_forward(x, unit)
+            x = conv_unit_forward(x, weights[op])
         parts.append(x)
     return parts
 
@@ -493,12 +394,11 @@ def random_conv_unit(spec: ConvUnitSpec, rng: np.random.Generator) -> ConvUnit:
     return ConvUnit(kernel=kernel, bn=bn, act=spec.act)
 
 
-def random_rephms(spec: RepHMSSpec, rng: np.random.Generator) -> RepHMSWeights:
-    """Sample a full training-form aggregation module."""
-    units: dict = {}
-    for slot in rephms_layout(spec):
-        if isinstance(slot, MixerSpec):
-            units[slot.path] = random_rephconv(slot.spec, rng)
-        else:
-            units[slot.path] = random_conv_unit(slot, rng)
-    return rephms_from_units(spec, units)
+def random_rephms(spec: RepHMSSpec, rng: np.random.Generator) -> dict:
+    """Sample a full training-form aggregation module as its slot dict."""
+    return {
+        slot.path: random_rephconv(slot.spec, rng)
+        if isinstance(slot, MixerSpec)
+        else random_conv_unit(slot, rng)
+        for slot in rephms_layout(spec)
+    }

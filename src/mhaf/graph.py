@@ -274,9 +274,14 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
 
 def check_input_size(node: Node, hw: tuple[int, int]) -> None:
     """Reject a spatial input size that the model's downsampling stages
-    cannot halve cleanly: both extents must be multiples of the input
-    node's ``divisor``."""
+    cannot halve cleanly: both extents must be positive multiples of the
+    input node's ``divisor``."""
     div = node.attrs.get("divisor", 1)
+    if hw[0] <= 0 or hw[1] <= 0:
+        raise ShapeError(
+            f"input size {hw[0]}x{hw[1]} must be a positive multiple of {div} "
+            f"in both extents"
+        )
     if hw[0] % div or hw[1] % div:
         raise ShapeError(
             f"input size {hw[0]}x{hw[1]} must be divisible by {div} for this model"

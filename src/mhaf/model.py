@@ -11,7 +11,7 @@ import numpy as np
 
 from .blocks import FUSION_ROLES, aaf_fuse, fold_slot, rephms_forward, saf_fuse
 from .errors import NumericError, ShapeError, StateError
-from .graph import ModelGraph, Node, check_input_size, node_param_entries
+from .graph import ModelGraph, Node, check_input_size, node_param_entries, rephms_spec
 from .reparam import fuse_conv_bn
 from .tensor import (
     avgpool2d,
@@ -43,7 +43,7 @@ def _eval_node(node: Node, ins: list[np.ndarray], bound, conv_fn) -> np.ndarray:
     if kind == "concat":
         return concat_channels(ins)
     if kind == "rephms":
-        return rephms_forward(ins[0], bound)
+        return rephms_forward(ins[0], rephms_spec(node), bound)
     if kind in FUSION_ROLES:
         by_role = dict(zip(node.attrs["roles"], ins))
         fuse = saf_fuse if kind == "saf" else aaf_fuse

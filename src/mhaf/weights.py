@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import FUSION_ROLES, ConvUnit, ConvUnitSpec, MixerSpec, rephms_from_units
+from .blocks import ConvUnit, ConvUnitSpec, MixerSpec
 from .errors import ShapeError, StateError, WeightFileError
 from .graph import (
     ModelGraph,
@@ -46,7 +46,6 @@ from .graph import (
     graph_param_entries,
     node_param_entries,
     node_slots,
-    rephms_spec,
     slot_entries,
 )
 from .reparam import RepHConvWeights
@@ -202,19 +201,14 @@ def bind_slots(node: Node, store: WeightStore, form: str) -> dict:
 def bind_node_weights(node: Node, store: WeightStore, form: str):
     """Materialize the structured weights of one graph node from the
     entries :func:`mhaf.graph.node_param_entries` lists for it.  Returns a
-    ConvKernel (stride and groups from the node's attrs), BNParams,
-    RepHMSWeights, the {slot path: ConvUnit} dict of a fusion node, or None
-    for weightless kinds."""
+    ConvKernel (stride and groups from the node's attrs), BNParams, or the
+    :func:`bind_slots` dict of any other kind (empty for weightless ones)."""
     if node.kind in ("conv", "bn"):
         (arrays,) = _by_kind(store, node_param_entries(node, form))
         if node.kind == "bn":
             return _bn(arrays)
         return _kernel(arrays, node.attrs["stride"], node.attrs["groups"])
-    if node.kind == "rephms":
-        return rephms_from_units(rephms_spec(node), bind_slots(node, store, form))
-    if node.kind in FUSION_ROLES:
-        return bind_slots(node, store, form)
-    return None
+    return bind_slots(node, store, form)
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,76 @@
 """Tests for the bottleneck block, the multi-stream aggregation module, and
 the two cross-resolution fusion nodes."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from mhaf.blocks import (
+    ConvUnit,
     ConvUnitSpec,
     RepHMSSpec,
     aaf_fuse,
-    block_forward,
+    aaf_layout,
     conv_unit_forward,
-    deploy_block,
-    deploy_rephms,
+    fold_slot,
     random_conv_unit,
     random_rephms,
     rephms_concat_width,
     rephms_forward,
     rephms_layout,
     saf_fuse,
+    saf_layout,
 )
+from mhaf.config import load_preset
 from mhaf.errors import ShapeError, StateError
-from mhaf.reparam import RepHConvSpec, random_rephconv
+from mhaf.graph import assemble
+from mhaf.reparam import RepHConvSpec, RepHConvWeights, random_rephconv, rephconv_forward
 from mhaf.tensor import avgpool2d, concat_channels, silu, split_channels, upsample2x
+from mhaf.weights import bind_node_weights, init_weights
 
 
 def make_block(rng, width, kernel=5, expansion=2.0):
-    from mhaf.blocks import BlockWeights
-
+    """One bottleneck block's slot dict, in evaluation order."""
     ec = int(round(width * expansion))
-    return BlockWeights(
-        expand=random_conv_unit(ConvUnitSpec("expand", width, ec, 1), rng),
-        mixer=random_rephconv(RepHConvSpec(ec, kernel), rng),
-        pw=random_conv_unit(ConvUnitSpec("pw", ec, ec, 1), rng),
-        proj=random_conv_unit(ConvUnitSpec("proj", ec, width, 1, act=False), rng),
-    )
+    return {
+        "expand": random_conv_unit(ConvUnitSpec("expand", width, ec, 1), rng),
+        "mixer": random_rephconv(RepHConvSpec(ec, kernel), rng),
+        "pw": random_conv_unit(ConvUnitSpec("pw", ec, ec, 1), rng),
+        "proj": random_conv_unit(ConvUnitSpec("proj", ec, width, 1, act=False), rng),
+    }
+
+
+def run_block(x, block):
+    """Run a block's units one after another, in dict order."""
+    for unit in block.values():
+        if isinstance(unit, RepHConvWeights):
+            x = rephconv_forward(x, unit)
+        else:
+            x = conv_unit_forward(x, unit)
+    return x
+
+
+def deploy_units(units):
+    """The deployed form of a slot dict: every slot folded by fold_slot."""
+    return {
+        path: RepHConvWeights(spec=unit.spec, fused=fold_slot(unit))
+        if isinstance(unit, RepHConvWeights)
+        else ConvUnit(kernel=fold_slot(unit), act=unit.act)
+        for path, unit in units.items()
+    }
+
+
+class CountingDict(dict):
+    """A slot dict that counts how often each path is read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
 
 
 class TestBlock:
@@ -41,7 +78,7 @@ class TestBlock:
         rng = np.random.default_rng(20)
         block = make_block(rng, 16, kernel=7)
         x = rng.standard_normal((2, 16, 12, 12)).astype(np.float32)
-        assert block_forward(x, block).shape == (2, 16, 12, 12)
+        assert run_block(x, block).shape == (2, 16, 12, 12)
 
     def test_zero_input_gives_bias_propagation_map(self):
         """With zero input the block reduces to propagated BN shifts: finite,
@@ -50,9 +87,9 @@ class TestBlock:
         rng = np.random.default_rng(21)
         block = make_block(rng, 8, kernel=5)
         x = np.zeros((1, 8, 10, 10), dtype=np.float32)
-        y = block_forward(x, block)
+        y = run_block(x, block)
         assert np.all(np.isfinite(y))
-        assert np.array_equal(y, block_forward(x, block))
+        assert np.array_equal(y, run_block(x, block))
         interior = y[:, :, 3:7, 3:7]
         assert np.allclose(interior, interior[:, :, :1, :1], atol=0)
 
@@ -60,21 +97,30 @@ class TestBlock:
         rng = np.random.default_rng(22)
         block = make_block(rng, 16, kernel=9)
         x = rng.standard_normal((1, 16, 14, 14)).astype(np.float32)
-        y_train = block_forward(x, block)
-        y_deploy = block_forward(x, deploy_block(block))
+        y_train = run_block(x, block)
+        y_deploy = run_block(x, deploy_units(block))
         assert np.abs(y_train - y_deploy).max() <= 1e-3
 
     def test_projection_must_be_linear(self):
-        rng = np.random.default_rng(23)
-        from mhaf.blocks import BlockWeights
-
-        with pytest.raises(StateError, match="linear"):
-            BlockWeights(
-                expand=random_conv_unit(ConvUnitSpec("e", 8, 16, 1), rng),
-                mixer=random_rephconv(RepHConvSpec(16, 3), rng),
-                pw=random_conv_unit(ConvUnitSpec("p", 16, 16, 1), rng),
-                proj=random_conv_unit(ConvUnitSpec("j", 16, 8, 1, act=True), rng),
-            )
+        """Every block's projection slot is linear in the layout, and binding
+        a store keeps it so."""
+        for streams, blocks in [(2, 1), (3, 2), (4, 3)]:
+            spec = RepHMSSpec(24, 24, streams, blocks, kernel=5)
+            proj = [s for s in rephms_layout(spec) if s.path.endswith(".proj")]
+            assert len(proj) == (streams - 1) * blocks
+            assert not any(s.act for s in proj)
+        graph = assemble(load_preset("nano"))
+        store = init_weights(graph, seed=0)
+        seen = 0
+        for node in graph:
+            if node.kind != "rephms":
+                continue
+            units = bind_node_weights(node, store, "training")
+            for path, unit in units.items():
+                if path.endswith(".proj"):
+                    assert unit.act is False and unit.bn is not None, (node.name, path)
+                    seen += 1
+        assert seen > 0
 
 
 class TestRepHMS:
@@ -83,15 +129,17 @@ class TestRepHMS:
         one block on the second half, concat, exit conv."""
         rng = np.random.default_rng(30)
         spec = RepHMSSpec(in_ch=24, out_ch=16, streams=2, blocks_per_stream=1, kernel=5)
-        weights = random_rephms(spec, rng)
+        units = random_rephms(spec, rng)
         x = rng.standard_normal((1, 24, 8, 8)).astype(np.float32)
 
-        hidden = conv_unit_forward(x, weights.entry)
+        hidden = conv_unit_forward(x, units["entry"])
         first, second = split_channels(hidden, 2)
-        block_out = block_forward(second, weights.streams[0][0])
-        want = conv_unit_forward(concat_channels([first, block_out]), weights.exit)
+        block = {p: u for p, u in units.items() if p.startswith("s2.b1.")}
+        assert list(block) == ["s2.b1.expand", "s2.b1.mixer", "s2.b1.pw", "s2.b1.proj"]
+        block_out = run_block(second, block)
+        want = conv_unit_forward(concat_channels([first, block_out]), units["exit"])
 
-        assert np.array_equal(rephms_forward(x, weights), want)
+        assert np.array_equal(rephms_forward(x, spec, units), want)
 
     @pytest.mark.parametrize("streams", [2, 3, 4])
     @pytest.mark.parametrize("blocks", [1, 2, 3])
@@ -106,8 +154,9 @@ class TestRepHMS:
         assert exit_slot.in_ch == want
         # and the module actually runs with that wiring
         rng = np.random.default_rng(31)
-        weights = random_rephms(spec, rng)
-        y = rephms_forward(rng.standard_normal((1, 48, 8, 8)).astype(np.float32), weights)
+        units = random_rephms(spec, rng)
+        x = rng.standard_normal((1, 48, 8, 8)).astype(np.float32)
+        y = rephms_forward(x, spec, units)
         assert y.shape == (1, out_ch, 8, 8)
 
     def test_cascade_feeds_next_stream(self):
@@ -115,32 +164,36 @@ class TestRepHMS:
         2's blocks changes stream 3's input and therefore the result."""
         rng = np.random.default_rng(32)
         spec = RepHMSSpec(24, 24, streams=3, blocks_per_stream=1, kernel=3)
-        weights = random_rephms(spec, rng)
+        units = random_rephms(spec, rng)
         x = rng.standard_normal((1, 24, 8, 8)).astype(np.float32)
-        base = rephms_forward(x, weights)
+        base = rephms_forward(x, spec, units)
         # kill stream 2's projection so its output becomes a constant map
-        weights.streams[0][0].proj.kernel.weights[:] = 0
-        changed = rephms_forward(x, weights)
+        units["s2.b1.proj"].kernel.weights[:] = 0
+        changed = rephms_forward(x, spec, units)
         assert not np.allclose(base, changed)
 
     @pytest.mark.parametrize("streams,blocks,kernel", [(2, 1, 5), (2, 2, 7), (3, 2, 9)])
     def test_deploy_form_is_numerically_invariant(self, streams, blocks, kernel):
         rng = np.random.default_rng(33)
         spec = RepHMSSpec(32, 24, streams, blocks, kernel)
-        weights = random_rephms(spec, rng)
+        units = random_rephms(spec, rng)
         x = rng.standard_normal((2, 32, 10, 10)).astype(np.float32)
-        y_train = rephms_forward(x, weights)
-        deployed = deploy_rephms(weights)
-        assert deployed.form == "deployed"
-        y_deploy = rephms_forward(x, deployed)
+        y_train = rephms_forward(x, spec, units)
+        deployed = deploy_units(units)
+        for unit in deployed.values():
+            if isinstance(unit, RepHConvWeights):
+                assert unit.form == "deployed"
+            else:
+                assert unit.bn is None
+        y_deploy = rephms_forward(x, spec, deployed)
         assert np.abs(y_train - y_deploy).max() <= 1e-3
 
     def test_deploying_twice_is_rejected(self):
+        """Folding an already-merged mixer raises instead of merging again."""
         rng = np.random.default_rng(34)
-        weights = random_rephms(RepHMSSpec(16, 16, 2, 1, 3), rng)
-        deployed = deploy_rephms(weights)
-        with pytest.raises(StateError):
-            deploy_rephms(deployed)
+        deployed = deploy_units(random_rephms(RepHMSSpec(16, 16, 2, 1, 3), rng))
+        with pytest.raises(StateError, match="already in deployed form"):
+            fold_slot(deployed["s2.b1.mixer"])
 
     def test_spec_validation(self):
         with pytest.raises(Exception):
@@ -151,6 +204,81 @@ class TestRepHMS:
             RepHMSSpec(16, 16, streams=2, blocks_per_stream=1, kernel=4)
         with pytest.raises(ShapeError):
             RepHMSSpec(16, 18, streams=4, blocks_per_stream=1, kernel=3)
+
+
+class TestSlotCoverage:
+    """Every composite node reads each path of its layout exactly once and
+    rejects a dict whose paths differ from the layout."""
+
+    @pytest.mark.parametrize("streams,blocks", [(2, 1), (2, 3), (3, 2), (4, 1)])
+    def test_rephms_reads_every_layout_path_once(self, streams, blocks):
+        rng = np.random.default_rng(60)
+        spec = RepHMSSpec(16, 24, streams, blocks, kernel=5)
+        units = CountingDict(random_rephms(spec, rng))
+        rephms_forward(rng.standard_normal((1, 16, 6, 6)).astype(np.float32), spec, units)
+        assert units.reads == Counter(s.path for s in rephms_layout(spec))
+
+    def test_rephms_rejects_a_missing_or_extra_path(self):
+        rng = np.random.default_rng(61)
+        spec = RepHMSSpec(16, 24, 3, 1, kernel=3)
+        units = random_rephms(spec, rng)
+        x = rng.standard_normal((1, 16, 6, 6)).astype(np.float32)
+        missing = {p: u for p, u in units.items() if p != "s3.b1.pw"}
+        with pytest.raises(StateError, match="lack slot 's3.b1.pw'"):
+            rephms_forward(x, spec, missing)
+        extra = dict(units, **{"s3.b2.pw": units["s3.b1.pw"]})
+        with pytest.raises(StateError, match="unexpected slot 's3.b2.pw'"):
+            rephms_forward(x, spec, extra)
+
+    @staticmethod
+    def layout_units(rng, layout):
+        return CountingDict({s.path: random_conv_unit(s, rng) for s in layout})
+
+    @pytest.mark.parametrize("has_above", [True, False])
+    def test_saf_reads_every_layout_path_once(self, has_above):
+        rng = np.random.default_rng(62)
+        below = rng.standard_normal((1, 8, 8, 8)).astype(np.float32)
+        same = rng.standard_normal((1, 16, 4, 4)).astype(np.float32)
+        above = rng.standard_normal((1, 32, 2, 2)).astype(np.float32) if has_above else None
+        layout = saf_layout(16, 32 if has_above else None)
+        units = self.layout_units(rng, layout)
+        saf_fuse(below, same, above, None, units)
+        assert units.reads == Counter(s.path for s in layout)
+
+    @pytest.mark.parametrize(
+        "roles",
+        [
+            ("below_refined", "below_deep", "same", "above_refined"),
+            ("same", "above_refined"),
+            ("below_refined", "below_deep", "same"),
+            ("below_deep", "same"),
+        ],
+    )
+    def test_aaf_reads_every_layout_path_once(self, roles):
+        rng = np.random.default_rng(63)
+        w = 8
+        size = {"below_refined": 16, "below_deep": 16, "same": 8, "above_refined": 4}
+        inputs = [
+            rng.standard_normal((1, w, n, n)).astype(np.float32) if r in roles else None
+            for r, n in size.items()
+        ]
+        layout = aaf_layout(w, roles)
+        units = self.layout_units(rng, layout)
+        aaf_fuse(*inputs, units)
+        assert units.reads == Counter(s.path for s in layout)
+
+    def test_fusion_rejects_a_missing_or_extra_path(self):
+        rng = np.random.default_rng(64)
+        w = 8
+        below = rng.standard_normal((1, w, 16, 16)).astype(np.float32)
+        same = rng.standard_normal((1, w, 8, 8)).astype(np.float32)
+        ctrl = random_conv_unit(ConvUnitSpec("ctrl", w, w, 1), rng)
+        with pytest.raises(StateError, match="lack slot 'down'"):
+            aaf_fuse(below, None, same, None, {})
+        with pytest.raises(StateError, match="unexpected slot 'ctrl'"):
+            aaf_fuse(None, None, same, None, {"ctrl": ctrl})
+        with pytest.raises(StateError, match="unexpected slot 'ctrl'"):
+            saf_fuse(None, same, None, None, {"ctrl": ctrl})
 
 
 class TestShallowFusion:

@@ -139,6 +139,11 @@ class TestShapeInference:
         with pytest.raises(ShapeError, match="32"):
             shape_infer(nano_graph(), input_size=100)
 
+    @pytest.mark.parametrize("size", [0, (0, 64), (64, 0), (-32, 64)])
+    def test_non_positive_input_rejected(self, size):
+        with pytest.raises(ShapeError, match="must be a positive multiple of 32"):
+            shape_infer(nano_graph(), input_size=size)
+
     def test_tampered_width_is_caught(self):
         # shape inference recomputes concat widths, so a drifted
         # bookkeeping attribute cannot go unnoticed

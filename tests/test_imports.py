@@ -1,9 +1,11 @@
-"""Static check: every imported name in the package and the tests is used.
+"""Static checks over the package, the tests and the demos: every imported
+name is used, and every name ``__all__`` lists is defined.
 
-A deletion that leaves its import behind shows up here.  The check reads
-the sources with :mod:`ast`: a name bound by an import statement must occur
-as a name elsewhere in the module, or be listed in the module's
-``__all__`` (a re-export).
+A deletion that leaves its import or its export behind shows up here.  The
+checks read the sources with :mod:`ast`: a name bound by an import statement
+must occur as a name elsewhere in the module, or be listed in the module's
+``__all__`` (a re-export); a name listed in ``__all__`` must be bound at the
+module's top level.
 """
 
 import ast
@@ -12,9 +14,21 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "mhaf").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+SOURCES = [
+    path
+    for folder in (ROOT / "src" / "mhaf", ROOT / "tests", ROOT / "demos")
+    for path in sorted(folder.glob("*.py"))
+]
+
+
+def exported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= set(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,22 +42,41 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported |= set(ast.literal_eval(node.value))
     return [
         f"line {line}: {name}"
         for name, line in sorted(imported.items(), key=lambda item: item[1])
-        if name not in used | exported
+        if name not in used | exported(tree)
     ]
+
+
+def undefined_exports(source: str) -> list[str]:
+    """Names ``__all__`` lists that no top-level statement binds."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(exported(tree) - defined)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_all_names_are_defined(path):
+    assert undefined_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_check_sees_an_undefined_export():
+    source = "import os\nX: int = 1\ndef f(): pass\n__all__ = ['os', 'X', 'f', 'gone']\n"
+    assert undefined_exports(source) == ["gone"]
 
 
 def test_check_sees_an_unused_import():

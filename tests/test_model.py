@@ -7,13 +7,18 @@ from hypothesis import given, settings, strategies as st
 import mhaf.blocks
 import mhaf.model
 import mhaf.reparam
-from mhaf.blocks import ConvUnit, deploy_conv_unit, deploy_rephms
 from mhaf.config import ModelSpec, load_preset, parse_config, serialize_config
 from mhaf.errors import NumericError, ShapeError, StateError
 from mhaf.ghfks import default_plan, uniform_plan
-from mhaf.graph import assemble, count_params_flops, graph_param_entries, shape_infer
+from mhaf.graph import (
+    assemble,
+    count_params_flops,
+    graph_param_entries,
+    rephms_spec,
+    shape_infer,
+)
 from mhaf.model import benchmark_forward, forward, fuse_model
-from mhaf.reparam import fuse_conv_bn
+from mhaf.reparam import RepHConvWeights, fuse_conv_bn, merge_heterogeneous
 from mhaf.tensor import conv2d_naive
 from mhaf.weights import bind_node_weights, init_weights, load_weights, save_weights
 
@@ -111,6 +116,16 @@ class TestForward:
         with pytest.raises(ShapeError, match="100x100 must be divisible by 32"):
             forward(graph, store, tiny_input(100))
 
+    @pytest.mark.parametrize("hw", [(0, 0), (0, 64), (64, 0)])
+    def test_empty_input_rejected_before_any_node(self, monkeypatch, hw):
+        graph, store = tiny_setup()
+        x = np.zeros((1, 3, *hw), dtype=np.float32)
+        ran = []
+        monkeypatch.setattr(mhaf.model, "_eval_node", lambda *args: ran.append(args))
+        with pytest.raises(ShapeError, match=f"{hw[0]}x{hw[1]} must be a positive multiple of 32"):
+            forward(graph, store, x)
+        assert not ran
+
 
 class TestFusion:
     def test_outcome_accounting(self):
@@ -179,18 +194,21 @@ def non_identity_bn_store(graph, seed=0):
 
 
 def deployed_entries_by_hand(graph, store):
-    """{entry name: array} of the deployed form, spelled out here from the
-    structured fold path (fuse_conv_bn, deploy_conv_unit, deploy_rephms over
-    bind_node_weights) rather than from the graph's entry enumeration."""
+    """{entry name: array} of the deployed form, spelled out here: each
+    aggregation module walked entry -> streams -> blocks -> exit, and each
+    bound slot folded by fuse_conv_bn or merge_heterogeneous directly,
+    rather than through the graph's entry enumeration and ``fold_slot``."""
     out = {}
 
     def emit(prefix, unit):
-        if isinstance(unit, ConvUnit):
-            out[f"{prefix}.conv.weight"] = unit.kernel.weights
-            out[f"{prefix}.conv.bias"] = unit.kernel.bias
+        if isinstance(unit, RepHConvWeights):
+            fused = merge_heterogeneous(unit).fused
+            out[f"{prefix}.fused.weight"] = fused.weights
+            out[f"{prefix}.fused.bias"] = fused.bias
         else:
-            out[f"{prefix}.fused.weight"] = unit.fused.weights
-            out[f"{prefix}.fused.bias"] = unit.fused.bias
+            folded = fuse_conv_bn(unit.kernel, unit.bn)
+            out[f"{prefix}.conv.weight"] = folded.weights
+            out[f"{prefix}.conv.bias"] = folded.bias
 
     for node in graph:
         bound = bind_node_weights(node, store, "training")
@@ -200,18 +218,19 @@ def deployed_entries_by_hand(graph, store):
             out[f"{node.name}.weight"] = folded.weights
             out[f"{node.name}.bias"] = folded.bias
         elif node.kind == "rephms":
-            deployed = deploy_rephms(bound)
-            emit(f"{node.name}.entry", deployed.entry)
-            for s, blocks in enumerate(deployed.streams, start=2):
-                for b, block in enumerate(blocks, start=1):
-                    for part in ("expand", "mixer", "pw", "proj"):
-                        emit(f"{node.name}.s{s}.b{b}.{part}", getattr(block, part))
-            emit(f"{node.name}.exit", deployed.exit)
+            spec = rephms_spec(node)
+            paths = ["entry"]
+            for s in range(2, spec.streams + 1):
+                for b in range(1, spec.blocks_per_stream + 1):
+                    paths += [f"s{s}.b{b}.{part}" for part in ("expand", "mixer", "pw", "proj")]
+            paths.append("exit")
+            assert list(bound) == paths, node.name
+            for path in paths:
+                emit(f"{node.name}.{path}", bound[path])
         elif node.kind in ("saf", "aaf"):
             for slot in ("down", "ctrl"):
-                unit = bound.get(slot)
-                if unit is not None:
-                    emit(f"{node.name}.{slot}", deploy_conv_unit(unit))
+                if slot in bound:
+                    emit(f"{node.name}.{slot}", bound[slot])
     return out
 
 
