@@ -17,6 +17,7 @@ defined: each role's resolution and the op it takes before the concat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -194,11 +195,13 @@ def rephms_concat_width(spec: RepHMSSpec) -> int:
     return spec.stream_width * (1 + (n - 1) * m)
 
 
-def rephms_layout(spec: RepHMSSpec) -> list[ConvUnitSpec | MixerSpec]:
+@cache
+def rephms_layout(spec: RepHMSSpec) -> tuple[ConvUnitSpec | MixerSpec, ...]:
     """Every weighted slot inside the module, in evaluation order.
 
-    This single list drives weight initialization, binding, and parameter
-    accounting, so they cannot drift apart.
+    This single sequence drives weight initialization, binding, evaluation
+    and parameter accounting, so they cannot drift apart.  It is built once
+    per spec and shared, hence immutable.
     """
     cw = spec.stream_width
     ec = spec.expanded_width
@@ -213,7 +216,7 @@ def rephms_layout(spec: RepHMSSpec) -> list[ConvUnitSpec | MixerSpec]:
             slots.append(ConvUnitSpec(f"{base}.pw", ec, ec, 1))
             slots.append(ConvUnitSpec(f"{base}.proj", ec, cw, 1, act=False))
     slots.append(ConvUnitSpec("exit", rephms_concat_width(spec), spec.out_ch, 1))
-    return slots
+    return tuple(slots)
 
 
 def rephms_forward(x: np.ndarray, spec: RepHMSSpec, units: dict) -> np.ndarray:
@@ -246,9 +249,11 @@ def rephms_forward(x: np.ndarray, spec: RepHMSSpec, units: dict) -> np.ndarray:
 # The input roles of each fusion kind, in concat order: role -> (the input's
 # resolution relative to the node's output, the op applied before the
 # concat).  ``pool`` is silu(avgpool); ``up`` a bare 2x upsample; ``ctrl``
-# the node's 1x1 unit after upsampling; ``down`` its 3x3/stride-2 unit.
-# Evaluation, shape inference, receptive fields and slot layouts all read
-# this table.
+# the node's 1x1 unit, run at the coarse resolution before the upsample (a
+# per-pixel unit commutes with a nearest-neighbour upsample, and costs a
+# quarter as much there); ``down`` its 3x3/stride-2 unit.  Evaluation, shape
+# inference, receptive fields, slot layouts and FLOP counts all read this
+# table.
 FUSION_ROLES = {
     "saf": {
         "below": (2, "pool"),
@@ -287,10 +292,11 @@ def aaf_layout(width: int, roles: tuple[str, ...]) -> list[ConvUnitSpec]:
 
 def _fusion_parts(kind: str, inputs: tuple, weights: dict) -> list[np.ndarray]:
     """The concat terms of a fusion node: each present input, in role order,
-    resampled to the resolution of ``same`` and passed through its role's
-    op.  ``ctrl`` and ``down`` run the node's unit of that name from
-    ``weights``, a {slot path: ConvUnit} dict keyed exactly by the slots of
-    the present roles (``saf_layout``, ``aaf_layout``)."""
+    passed through its role's op and brought to the resolution of ``same``.
+    ``ctrl`` and ``down`` run the node's unit of that name from ``weights``,
+    a {slot path: ConvUnit} dict keyed exactly by the slots of the present
+    roles (``saf_layout``, ``aaf_layout``), at the input's own resolution:
+    ``ctrl`` before its upsample, ``down`` striding to the target."""
     table = FUSION_ROLES[kind]
     ops = [op for (_, op), x in zip(table.values(), inputs) if x is not None]
     _check_slots([op for op in ops if op in FUSION_UNITS], weights)
@@ -305,12 +311,12 @@ def _fusion_parts(kind: str, inputs: tuple, weights: dict) -> list[np.ndarray]:
                 f"{role} input has spatial dims {x.shape[2:]} but must be exactly "
                 f"{'twice' if scale > 1 else 'half'} the target {same.shape[2:]}"
             )
-        if scale < 1:
-            x = upsample2x(x)
+        if op in FUSION_UNITS:
+            x = conv_unit_forward(x, weights[op])
         if op == "pool":
             x = silu(avgpool2d(x))
-        elif op in FUSION_UNITS:
-            x = conv_unit_forward(x, weights[op])
+        elif scale < 1:
+            x = upsample2x(x)
         parts.append(x)
     return parts
 
@@ -328,8 +334,9 @@ def saf_fuse(
 
     * the finer backbone level, average-pooled then activated,
     * the same-level backbone feature untouched,
-    * the coarser backbone level, upsampled, channel-controlled (1x1 conv
-      to half the same-level width) and activated,
+    * the coarser backbone level, channel-controlled (1x1 conv to half the
+      same-level width) and activated at its own resolution, then
+      upsampled,
     * the coarser refined feature, upsampled as-is.
 
     Boundary levels pass ``None`` for inputs that do not exist; the concat
@@ -355,7 +362,8 @@ def aaf_fuse(
     * the finer refined level brought down by a 3x3/stride-2 conv, activated,
     * the finer deep-pathway output, average-pooled then activated,
     * the same-level refined feature untouched,
-    * the coarser refined level, upsampled, 1x1-controlled and activated.
+    * the coarser refined level, 1x1-controlled and activated at its own
+      resolution, then upsampled.
 
     All contributions carry the same channel width, so attention-style
     weighting downstream sees equal-sized operands; a width mismatch is a

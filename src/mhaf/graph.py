@@ -558,9 +558,20 @@ def count_params_flops(graph: ModelGraph, input_size=None) -> Bookkeeping:
     for node in graph:
         entries = node_param_entries(node, graph.form)
         params = sum(e.size for e in entries if e.learnable)
-        # every conv of a node writes a map at the node's output resolution
         _, h, w = shapes[node.name]
-        flops = 2 * h * w * sum(e.size for e in entries if e.kind == "conv_weight")
+        if node.kind in FUSION_ROLES:
+            # a fusion unit writes its map at its role's resolution over its
+            # stride: ``ctrl`` runs before its upsample, on a quarter of the
+            # pixels, and ``down`` lands on the node's own resolution
+            scales = {op: scale for scale, op in FUSION_ROLES[node.kind].values()}
+            flops = 0
+            for prefix, slot in node_slots(node).items():
+                oh, ow = (int(n * scales[slot.path]) // slot.stride for n in (h, w))
+                convs = slot_entries(prefix, slot, graph.form)
+                flops += 2 * oh * ow * sum(e.size for e in convs if e.kind == "conv_weight")
+        else:
+            # every conv of any other node writes a map at its resolution
+            flops = 2 * h * w * sum(e.size for e in entries if e.kind == "conv_weight")
         per_node[node.name] = (params, flops)
         total_p += params
         total_f += flops

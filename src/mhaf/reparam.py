@@ -213,10 +213,10 @@ def rephconv_forward(x: np.ndarray, weights: RepHConvWeights) -> np.ndarray:
     """
     if weights.form == "deployed":
         return conv2d_fast(x, weights.fused)
-    out = None
-    for kernel, bn in weights.branches:
-        y = batchnorm_infer(conv2d_fast(x, kernel), bn)
-        out = y if out is None else out + y
+    (kernel, bn), *rest = weights.branches
+    out = batchnorm_infer(conv2d_fast(x, kernel), bn)
+    for kernel, bn in rest:
+        out += batchnorm_infer(conv2d_fast(x, kernel), bn)
     return out
 
 

@@ -76,6 +76,13 @@ class WeightStore:
     form: str = "training"
     seed: int | None = None
     spec_digest: str | None = None
+    # the forward plan last prepared for this store (see mhaf.model.forward)
+    _plan: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # a plan is derived state tied to one graph object: copies and
+        # pickles start without one
+        return {**self.__dict__, "_plan": None}
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:
@@ -115,7 +122,9 @@ def init_weights(graph: ModelGraph, seed: int = 0) -> WeightStore:
 
 def validate_store(graph: ModelGraph, store: WeightStore) -> None:
     """Check that a store matches a graph: same form, same config digest
-    (when both are known), and exactly the expected entry names/shapes."""
+    (when both are known), exactly the expected entry names/shapes, and
+    every entry a C-contiguous float32 array, which binding then uses as it
+    is, without a copy."""
     if store.form != graph.form:
         raise StateError(
             f"store is in {store.form} form but the graph is {graph.form}"
@@ -124,6 +133,18 @@ def validate_store(graph: ModelGraph, store: WeightStore) -> None:
     if digest and store.spec_digest and digest != store.spec_digest:
         raise StateError(
             f"store was created for config {store.spec_digest}, graph is {digest}"
+        )
+    for name, arr in store.entries.items():
+        if not isinstance(arr, np.ndarray):
+            got = type(arr).__name__
+        elif arr.dtype != np.float32:
+            got = f"dtype {arr.dtype}"
+        elif not arr.flags.c_contiguous:
+            got = "a non-contiguous layout"
+        else:
+            continue
+        raise ShapeError(
+            f"weight entry '{name}' must be a C-contiguous float32 array, got {got}"
         )
     expected = {e.name: e.shape for e in graph_param_entries(graph)}
     got = {name: arr.shape for name, arr in store.entries.items()}
@@ -236,6 +257,10 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 # lane.  Inputs shorter than a block, and the tail past the last whole
 # block, take the scalar loop.
 LANES = 4096
+# Words per lane made contiguous at a time, a 1 MiB block: a transposed copy
+# of the whole payload would be a second payload-sized buffer, and where
+# malloc places one decides the process's peak RSS.
+_BLOCK_ROWS = 32
 # A linear map on the 64-bit register in table form: row j holds the images
 # of the 256 values of the register's byte j (least significant first).
 # The slice-by-8 step is such a map, the one that appends 8 zero bytes.
@@ -288,14 +313,14 @@ def _crc_lanes(data: np.ndarray) -> int:
     """Register after ``data`` (a whole number of lane blocks) from the
     all-ones init: slice-by-8 on every lane at once, then a pairwise fold."""
     rows = data.size // (8 * LANES)
-    words = np.ascontiguousarray(
-        data.view("<u8").reshape(LANES, rows).T, dtype=np.uint64
-    )
+    lanes = data.view("<u8").reshape(LANES, rows)
     regs = np.zeros(LANES, dtype=np.uint64)
     regs[0] = _MASK  # every other lane runs from zero: a raw, linear CRC
-    for row in words:
-        regs ^= row
-        regs = _apply(_STEP, regs)
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = lanes[:, start : start + _BLOCK_ROWS].T
+        for row in np.ascontiguousarray(block, dtype=np.uint64):
+            regs ^= row
+            regs = _apply(_STEP, regs)
     # reg(A + B) = Z(reg(A)) ^ reg0(B), Z appending len(B) zero bytes
     zeros, power, n = None, _STEP, rows
     while n:

@@ -301,7 +301,7 @@ class TestShallowFusion:
 
     def test_term_order_and_content(self):
         """The concat is (pooled finer, same, controlled coarser, upsampled
-        refined) in that order."""
+        refined) in that order; the control unit runs before its upsample."""
         rng = np.random.default_rng(41)
         below = rng.standard_normal((1, 8, 8, 8)).astype(np.float32)
         same = rng.standard_normal((1, 16, 4, 4)).astype(np.float32)
@@ -311,9 +311,15 @@ class TestShallowFusion:
         out = saf_fuse(below, same, above, refined, weights)
         assert np.array_equal(out[:, :8], silu(avgpool2d(below)))
         assert np.array_equal(out[:, 8:24], same)
+        controlled = out[:, 24:32]
         assert np.array_equal(
-            out[:, 24:32], conv_unit_forward(upsample2x(above), weights["ctrl"])
+            controlled, upsample2x(conv_unit_forward(above, weights["ctrl"]))
         )
+        # the unit acts per pixel, so upsampling first computes the same map
+        # up to the rounding of a matmul over four times the pixels
+        upsampled_first = conv_unit_forward(upsample2x(above), weights["ctrl"])
+        deviation = np.max(np.abs(controlled - upsampled_first))
+        assert deviation <= 1e-6 * np.max(np.abs(upsampled_first))
         assert np.array_equal(out[:, 32:], upsample2x(refined))
 
     def test_top_level_two_term_boundary(self):

@@ -149,7 +149,7 @@ class TestInspection:
         assert code == 0
         assert "head.p3" in out
         assert "params 2,307,344" in out
-        assert "8.16 GFLOPs at 640x640" in out
+        assert "7.77 GFLOPs at 640x640" in out
 
     def test_shapes_bad_input_size(self, capsys):
         code, _, err = run(capsys, "shapes", "nano", "--input", "100")

@@ -1,5 +1,11 @@
 """Tests for whole-model evaluation, fusion to deployed form, and timing."""
 
+import copy
+import gc
+import pickle
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +131,162 @@ class TestForward:
         with pytest.raises(ShapeError, match=f"{hw[0]}x{hw[1]} must be a positive multiple of 32"):
             forward(graph, store, x)
         assert not ran
+
+
+def count_prepare_calls(monkeypatch) -> Counter:
+    """Count validate_store calls and bind_node_weights calls per node name,
+    by rebinding both names in mhaf.model."""
+    counts = Counter()
+    validate, bind = mhaf.model.validate_store, mhaf.model.bind_node_weights
+
+    def counting_validate(graph, store):
+        counts["validate_store"] += 1
+        return validate(graph, store)
+
+    def counting_bind(node, store, form):
+        counts[node.name] += 1
+        return bind(node, store, form)
+
+    monkeypatch.setattr(mhaf.model, "validate_store", counting_validate)
+    monkeypatch.setattr(mhaf.model, "bind_node_weights", counting_bind)
+    return counts
+
+
+def fresh_forward(graph, store, x):
+    """Forward on deep copies of the graph and store: nothing carried over."""
+    g, s = copy.deepcopy((graph, store))
+    return forward(g, s, x)
+
+
+def assert_same_outputs(got, want):
+    assert list(got) == list(want)
+    for level in want:
+        assert np.array_equal(got[level], want[level]), level
+
+
+def first_entry(graph, kind, within=""):
+    return next(
+        e.name for e in graph_param_entries(graph) if e.kind == kind and within in e.name
+    )
+
+
+def scale_in_place(name, factor):
+    def change(graph, store):
+        store.entries[name] *= np.float32(factor)
+    return change
+
+
+def replace_entry(graph, store):
+    name = first_entry(graph, "conv_weight", ".mixer.")
+    store.entries[name] = store[name] * np.float32(2)
+
+
+def add_node(graph, store):
+    graph.add("extra", "silu", (graph.outputs[0],))
+
+
+def drop_an_output(graph, store):
+    graph.outputs = graph.outputs[1:]
+
+
+LITE = assemble(load_preset("lite-nano"))
+# change -> (the next forward prepares a new plan, the outputs move)
+PLAN_CHANGES = {
+    "replace an entry": (replace_entry, True, True),
+    "conv weight in place": (scale_in_place("stem.1.conv.weight", 0.5), False, True),
+    "bn vector in place": (
+        scale_in_place(first_entry(LITE, "bn_gamma", "backbone.p3."), 1.5), False, True
+    ),
+    "depthwise mixer weight in place": (
+        scale_in_place(first_entry(LITE, "conv_weight", ".mixer."), -1.0), False, True
+    ),
+    "graph.add": (add_node, True, False),
+    "reassign graph.outputs": (drop_an_output, True, True),
+}
+
+
+class TestPlan:
+    def test_each_node_bound_and_store_validated_once(self, monkeypatch):
+        graph, store = tiny_setup()
+        counts = count_prepare_calls(monkeypatch)
+        x = tiny_input()
+        first = forward(graph, store, x)
+        for _ in range(4):
+            assert_same_outputs(forward(graph, store, x), first)
+        bound = [n.name for n in graph if n.kind != "input"]
+        assert counts == Counter(["validate_store", *bound])
+
+    @pytest.mark.parametrize("name", PLAN_CHANGES)
+    def test_outputs_follow_every_change(self, monkeypatch, name):
+        change, reprepares, moves = PLAN_CHANGES[name]
+        graph, store = tiny_setup()
+        x = tiny_input()
+        before = forward(graph, store, x)
+        change(graph, store)
+        want = fresh_forward(graph, store, x)
+        counts = count_prepare_calls(monkeypatch)
+        got = forward(graph, store, x)
+        assert_same_outputs(got, want)
+        assert counts["validate_store"] == int(reprepares)
+        assert any(
+            lv not in got or not np.array_equal(before[lv], got[lv]) for lv in before
+        ) == moves
+
+    def test_in_place_write_into_a_deployed_mixer_shows(self):
+        graph, store = tiny_setup()
+        outcome = fuse_model(graph, store)
+        graph, store = outcome.graph, outcome.store
+        x = tiny_input()
+        before = forward(graph, store, x)
+        name = first_entry(graph, "conv_weight", ".mixer.")
+        store.entries[name] *= np.float32(-1)
+        got = forward(graph, store, x)
+        assert_same_outputs(got, fresh_forward(graph, store, x))
+        assert not np.array_equal(got["p3"], before["p3"])
+
+    def test_new_input_size_reuses_the_plan(self, monkeypatch):
+        graph, store = tiny_setup()
+        forward(graph, store, tiny_input(64))
+        x = tiny_input(96)
+        want = fresh_forward(graph, store, x)
+        counts = count_prepare_calls(monkeypatch)
+        assert_same_outputs(forward(graph, store, x), want)
+        assert not counts
+
+    def test_two_stores_alternate_on_one_graph(self, monkeypatch):
+        graph = assemble(load_preset("lite-nano"))
+        stores = [init_weights(graph, seed=0), init_weights(graph, seed=1)]
+        x = tiny_input()
+        wants = [fresh_forward(graph, s, x) for s in stores]
+        counts = count_prepare_calls(monkeypatch)
+        for _ in range(3):
+            for store, want in zip(stores, wants):
+                assert_same_outputs(forward(graph, store, x), want)
+        assert counts["validate_store"] == 2
+
+    def test_removed_entry_raises(self):
+        graph, store = tiny_setup()
+        forward(graph, store, tiny_input())
+        del store.entries["stem.1.conv.weight"]
+        with pytest.raises(ShapeError, match=r"missing=\['stem.1.conv.weight'\]"):
+            forward(graph, store, tiny_input())
+
+    def test_plan_does_not_keep_a_dropped_graph_alive(self):
+        graph, store = tiny_setup()
+        x = tiny_input()
+        want = forward(graph, store, x)
+        ref = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert ref() is None
+        assert_same_outputs(forward(assemble(load_preset("lite-nano")), store, x), want)
+
+    def test_store_with_a_plan_copies_and_pickles(self):
+        graph, store = tiny_setup()
+        x = tiny_input()
+        want = forward(graph, store, x)
+        for twin in (copy.copy(store), pickle.loads(pickle.dumps(store))):
+            assert_same_outputs(forward(graph, twin, x), want)
 
 
 class TestFusion:

@@ -172,6 +172,24 @@ class TestInitialization:
         with pytest.raises(ShapeError, match="stem.1.conv.weight"):
             validate_store(graph, store)
 
+    @pytest.mark.parametrize(
+        "recast, got",
+        [
+            (lambda a: a.astype(np.float64), "got dtype float64"),
+            (np.asfortranarray, "got a non-contiguous layout"),
+            (lambda a: a.tolist(), "got list"),
+        ],
+    )
+    def test_entry_must_be_a_c_contiguous_float32_array(self, recast, got):
+        # binding uses entries as they are, so a copy-forcing entry is
+        # rejected at the boundary rather than silently copied
+        graph = assemble(load_preset("lite-nano"))
+        store = init_weights(graph, seed=0)
+        store.entries["stem.1.conv.weight"] = recast(store["stem.1.conv.weight"])
+        match = f"'stem.1.conv.weight' must be a C-contiguous float32 array, {got}"
+        with pytest.raises(ShapeError, match=match):
+            validate_store(graph, store)
+
     def test_unknown_lookup_raises(self):
         with pytest.raises(StateError, match="no entry"):
             small_store()["nonexistent.weight"]
