@@ -50,12 +50,14 @@ print(f"training form stores {unit.param_count():,} floats "
       f"({len(unit.branches)} branches, each with BN)")
 
 merged = merge_heterogeneous(unit)
-print(f"deployed form stores {merged.param_count():,} floats (one 9x9 conv)")
+k = merged.kernel_size
+print(f"deployed form stores {merged.weights.size + merged.bias.size:,} floats "
+      f"(one {k}x{k} depthwise conv with a bias)")
 
 # --- step 3: the two forms compute the same function ---------------------
 x = rng.standard_normal((1, 16, 20, 20)).astype(np.float32)
 training_out = rephconv_forward(x, unit)
-deployed_out = rephconv_forward(x, merged)
+deployed_out = conv2d_fast(x, merged)
 print(f"forward gap on one input: {np.max(np.abs(training_out - deployed_out)):.2e}")
 
 # the packaged check sweeps many random draws and times both forms

@@ -16,14 +16,12 @@ whole-model fusion runs.
 import numpy as np
 
 from mhaf.blocks import (
-    ConvUnit,
     RepHMSSpec,
     fold_slot,
     random_rephms,
     rephms_concat_width,
     rephms_forward,
 )
-from mhaf.reparam import RepHConvWeights
 
 rng = np.random.default_rng(2)
 
@@ -44,13 +42,8 @@ y = rephms_forward(x, spec, units)
 print(f"forward: {tuple(x.shape)} -> {tuple(y.shape)}")
 
 # deployment folds every BN and collapses every mixer branch stack, one
-# slot at a time
-deployed = {
-    path: RepHConvWeights(spec=unit.spec, fused=fold_slot(unit))
-    if isinstance(unit, RepHConvWeights)
-    else ConvUnit(kernel=fold_slot(unit), act=unit.act)
-    for path, unit in units.items()
-}
+# slot at a time; every deployed slot is a plain BN-free conv unit
+deployed = {path: fold_slot(unit) for path, unit in units.items()}
 y2 = rephms_forward(x, spec, deployed)
 print(f"deployed forward gap: {np.max(np.abs(y - y2)):.2e}")
 

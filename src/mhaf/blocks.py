@@ -4,11 +4,12 @@ cross-resolution fusion nodes used by the neck.
 
 Everything here is a pure function over explicit weights; there is no
 hidden module state.  Every composite node takes its weights as one
-{slot path: ConvUnit | RepHConvWeights} dict keyed by its layout
-(``rephms_layout``, ``saf_layout``, ``aaf_layout``).  Each slot exists in a
-training form (a conv followed by batch norm, or a multi-branch mixer) and a
-deployed form (BN folded away, branches merged), and :func:`fold_slot` is
-the one mapping from the first to the second.
+{slot path: unit} dict keyed by its layout (``rephms_layout``,
+``saf_layout``, ``aaf_layout``).  In training form a slot is a ConvUnit with
+batch norm, or a multi-branch mixer (``RepHConvWeights``); in deployed form
+every slot is a BN-free ConvUnit, a merged mixer being one unactivated
+depthwise conv.  :func:`fold_slot` is the one mapping from the first form
+to the second.
 
 ``FUSION_ROLES`` is the one place the fusion nodes' input roles are
 defined: each role's resolution and the op it takes before the concat.
@@ -63,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvUnit:
     """A convolution, optionally batch-normalized, optionally activated.
 
@@ -90,17 +91,21 @@ def conv_unit_forward(x: np.ndarray, unit: ConvUnit) -> np.ndarray:
     return silu(y) if unit.act else y
 
 
-def fold_slot(unit: ConvUnit | RepHConvWeights) -> ConvKernel:
-    """The one bias-carrying kernel a training-form slot deploys to: a conv
-    unit's BN folded into its conv, or a mixer's branches merged.  A merged
-    mixer raises rather than merging again."""
+def fold_slot(unit: ConvUnit | RepHConvWeights) -> ConvUnit:
+    """The deployed form of a training-form slot, a BN-free ConvUnit: a conv
+    unit's BN folded into its conv, keeping its activation, or a mixer's
+    branches merged into one unactivated depthwise conv.  Training-form
+    slots always carry BN, so a slot without one is already deployed and
+    raises rather than folding again."""
     if isinstance(unit, RepHConvWeights):
-        return merge_heterogeneous(unit).fused
-    return unit.kernel if unit.bn is None else fuse_conv_bn(unit.kernel, unit.bn)
+        return ConvUnit(kernel=merge_heterogeneous(unit), act=False)
+    if unit.bn is None:
+        raise StateError("slot is already in deployed form; refusing to fold again")
+    return ConvUnit(kernel=fuse_conv_bn(unit.kernel, unit.bn), act=unit.act)
 
 
 def _slot_forward(x: np.ndarray, unit: ConvUnit | RepHConvWeights) -> np.ndarray:
-    if isinstance(unit, RepHConvWeights):
+    if isinstance(unit, RepHConvWeights):  # a training-form mixer
         return rephconv_forward(x, unit)
     return conv_unit_forward(x, unit)
 
@@ -221,8 +226,9 @@ def rephms_layout(spec: RepHMSSpec) -> tuple[ConvUnitSpec | MixerSpec, ...]:
 
 def rephms_forward(x: np.ndarray, spec: RepHMSSpec, units: dict) -> np.ndarray:
     """Entry conv, split, cascaded streams with every block output retained,
-    concat, exit conv.  ``units`` is the module's {slot path: ConvUnit |
-    RepHConvWeights} dict, keyed exactly by :func:`rephms_layout`, whose
+    concat, exit conv.  ``units`` is the module's {slot path: unit} dict in
+    either form (a mixer slot holds RepHConvWeights in training form and a
+    ConvUnit once deployed), keyed exactly by :func:`rephms_layout`, whose
     order is evaluation order: the entry, each stream's blocks (an equal
     run of slots each), the exit."""
     paths = [slot.path for slot in rephms_layout(spec)]

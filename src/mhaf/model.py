@@ -164,7 +164,7 @@ def forward(
     return {level: values[name] for name, level in plan.levels}
 
 
-@dataclass
+@dataclass(eq=False)
 class FusionOutcome:
     """Fused graph and store plus accounting of what was removed."""
 
@@ -228,7 +228,7 @@ def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
                 )
             ]
         else:
-            kernels = [fold_slot(u) for u in bind_slots(node, store, "training").values()]
+            kernels = [fold_slot(u).kernel for u in bind_slots(node, store, "training").values()]
         inputs = tuple(bn_after_conv.get(i, i) for i in node.inputs)
         fused = fused_graph.add(node.name, node.kind, inputs, **attrs)
         # each kernel's weight and bias fill the fused node's next two entries

@@ -13,6 +13,9 @@ largest kernel size:
 
 The functions here implement those three steps plus a self-contained
 numerical equivalence check used by tests and the command-line tool.
+:class:`RepHConvWeights` holds the training form only; the deployed form is
+the plain bias-carrying ``ConvKernel`` that :func:`merge_heterogeneous`
+returns.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KernelError, ShapeError, StateError
+from .errors import KernelError, ShapeError
 from .tensor import BNParams, ConvKernel, batchnorm_infer, conv2d_fast
 
 __all__ = [
@@ -67,55 +70,32 @@ class RepHConvSpec:
         return (self.main_kernel, *self.branch_kernels)
 
 
-@dataclass
+@dataclass(eq=False)
 class RepHConvWeights:
-    """Parameters of one unit, in exactly one of two forms.
-
-    Training form: ``branches`` holds one (depthwise ConvKernel, BNParams)
-    pair per kernel size, largest first.  Deployed form: ``fused`` holds a
-    single bias-carrying depthwise ConvKernel of the main size and no BN.
-    """
+    """Training-form parameters of one unit: ``branches`` holds one
+    (depthwise ConvKernel, BNParams) pair per kernel size, largest first.
+    The deployed form is the single kernel :func:`merge_heterogeneous`
+    returns."""
 
     spec: RepHConvSpec
-    branches: list[tuple[ConvKernel, BNParams]] | None = None
-    fused: ConvKernel | None = None
+    branches: list[tuple[ConvKernel, BNParams]]
 
     def __post_init__(self):
-        if (self.branches is None) == (self.fused is None):
-            raise StateError("exactly one of branches/fused must be set")
         c = self.spec.channels
-        if self.branches is not None:
-            got = tuple(k.kernel_size for k, _ in self.branches)
-            if got != self.spec.all_kernels:
-                raise KernelError(
-                    f"branch kernel sizes {list(got)} do not match spec "
-                    f"{list(self.spec.all_kernels)}"
-                )
-            for kernel, bn in self.branches:
-                _check_depthwise(kernel, c)
-                if bn.channels != c:
-                    raise ShapeError(
-                        f"branch BN has {bn.channels} channels, expected {c}"
-                    )
-        else:
-            _check_depthwise(self.fused, c)
-            if self.fused.kernel_size != self.spec.main_kernel:
-                raise KernelError(
-                    f"fused kernel size {self.fused.kernel_size} != main "
-                    f"{self.spec.main_kernel}"
-                )
-
-    @property
-    def form(self) -> str:
-        return "training" if self.branches is not None else "deployed"
+        got = tuple(k.kernel_size for k, _ in self.branches)
+        if got != self.spec.all_kernels:
+            raise KernelError(
+                f"branch kernel sizes {list(got)} do not match spec "
+                f"{list(self.spec.all_kernels)}"
+            )
+        for kernel, bn in self.branches:
+            _check_depthwise(kernel, c)
+            if bn.channels != c:
+                raise ShapeError(f"branch BN has {bn.channels} channels, expected {c}")
 
     def param_count(self) -> int:
         """Learnable parameter count (conv weights + bias, BN gamma/beta)."""
-        if self.branches is not None:
-            return sum(
-                k.weights.size + 2 * bn.channels for k, bn in self.branches
-            )
-        return self.fused.weights.size + self.fused.bias.size
+        return sum(k.weights.size + 2 * bn.channels for k, bn in self.branches)
 
 
 def _check_depthwise(kernel: ConvKernel, channels: int) -> None:
@@ -177,16 +157,13 @@ def pad_kernel(kernel: ConvKernel, target_size: int) -> ConvKernel:
     )
 
 
-def merge_heterogeneous(weights: RepHConvWeights) -> RepHConvWeights:
-    """Collapse a training-form unit into its single deployed conv.
+def merge_heterogeneous(weights: RepHConvWeights) -> ConvKernel:
+    """Collapse a training-form unit into its single deployed conv: a
+    bias-carrying depthwise kernel of the main size.
 
     Each branch is BN-folded first, then zero-padded to the main kernel
-    size, then weights and biases are summed.  Merging an already-deployed
-    unit is an error rather than a no-op, so double conversion bugs surface
-    immediately.
+    size, then weights and biases are summed.
     """
-    if weights.form == "deployed":
-        raise StateError("unit is already in deployed form; refusing to merge again")
     spec = weights.spec
     main_k = spec.main_kernel
     acc_w = np.zeros((spec.channels, 1, main_k, main_k), dtype=np.float32)
@@ -195,24 +172,18 @@ def merge_heterogeneous(weights: RepHConvWeights) -> RepHConvWeights:
         folded = pad_kernel(fuse_conv_bn(kernel, bn), main_k)
         acc_w += folded.weights
         acc_b += folded.bias
-    fused = ConvKernel(
+    return ConvKernel(
         weights=acc_w,
         bias=acc_b,
         stride=1,
         padding=(main_k - 1) // 2,
         groups=spec.channels,
     )
-    return RepHConvWeights(spec=spec, fused=fused)
 
 
 def rephconv_forward(x: np.ndarray, weights: RepHConvWeights) -> np.ndarray:
-    """Run one unit in whichever form it is in.
-
-    Training form sums the BN-ed branch outputs in declaration order
-    (largest kernel first); deployed form is a single conv.
-    """
-    if weights.form == "deployed":
-        return conv2d_fast(x, weights.fused)
+    """Run one training-form unit: the BN-ed branch outputs summed in
+    declaration order (largest kernel first)."""
     (kernel, bn), *rest = weights.branches
     out = batchnorm_infer(conv2d_fast(x, kernel), bn)
     for kernel, bn in rest:
@@ -314,7 +285,7 @@ def verify_equivalence(
         t0 = time.perf_counter()
         y_train = rephconv_forward(x, weights)
         t1 = time.perf_counter()
-        y_deploy = rephconv_forward(x, deployed)
+        y_deploy = conv2d_fast(x, deployed)
         t2 = time.perf_counter()
         t_train += t1 - t0
         t_deploy += t2 - t1

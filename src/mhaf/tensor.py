@@ -65,7 +65,7 @@ def check_tensor4(x: np.ndarray, name: str = "input") -> None:
         raise ShapeError(f"{name} must be float32, got {x.dtype}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ConvKernel:
     """Weights and hyper-parameters of one 2-D convolution.
 
@@ -131,7 +131,7 @@ class ConvKernel:
         return self.weights.shape[2]
 
 
-@dataclass
+@dataclass(eq=False)
 class BNParams:
     """Inference-time batch-norm statistics and affine parameters.
 

@@ -68,7 +68,7 @@ MAGIC = b"MHWT"
 VERSION = 1
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightStore:
     """Flat name -> float32 array mapping plus provenance metadata."""
 
@@ -77,7 +77,7 @@ class WeightStore:
     seed: int | None = None
     spec_digest: str | None = None
     # the forward plan last prepared for this store (see mhaf.model.forward)
-    _plan: object = field(default=None, init=False, repr=False, compare=False)
+    _plan: object = field(default=None, init=False, repr=False)
 
     def __getstate__(self):
         # a plan is derived state tied to one graph object: copies and
@@ -193,17 +193,19 @@ def _bn(arrays: dict) -> BNParams | None:
 
 
 def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, form: str):
-    """Materialize one weighted slot of a composite node from the entries
-    :func:`mhaf.graph.slot_entries` lists for it: a ConvUnit for a
-    conv-unit slot, RepHConvWeights for a mixer slot, each in the given
-    form.  Stride, groups and activation come from the slot."""
+    """Materialize one weighted slot of a composite node, in the given form,
+    from the entries :func:`mhaf.graph.slot_entries` lists for it.  A
+    conv-unit slot binds as a ConvUnit (stride, groups and activation from
+    the slot).  A mixer slot binds as RepHConvWeights in training form and,
+    deployed, as the unit :func:`mhaf.blocks.fold_slot` gives it: one
+    unactivated stride-1 depthwise ConvUnit."""
     convs = _by_kind(store, slot_entries(prefix, slot, form))
     if isinstance(slot, MixerSpec):
         spec = slot.spec
         branches = [(_kernel(a, 1, spec.channels), _bn(a)) for a in convs]
         if form == "deployed":
             ((fused, _),) = branches
-            return RepHConvWeights(spec=spec, fused=fused)
+            return ConvUnit(kernel=fused, act=False)
         return RepHConvWeights(spec=spec, branches=branches)
     (arrays,) = convs
     kernel = _kernel(arrays, slot.stride, slot.groups)

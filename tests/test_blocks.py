@@ -53,12 +53,7 @@ def run_block(x, block):
 
 def deploy_units(units):
     """The deployed form of a slot dict: every slot folded by fold_slot."""
-    return {
-        path: RepHConvWeights(spec=unit.spec, fused=fold_slot(unit))
-        if isinstance(unit, RepHConvWeights)
-        else ConvUnit(kernel=fold_slot(unit), act=unit.act)
-        for path, unit in units.items()
-    }
+    return {path: fold_slot(unit) for path, unit in units.items()}
 
 
 class CountingDict(dict):
@@ -180,20 +175,21 @@ class TestRepHMS:
         x = rng.standard_normal((2, 32, 10, 10)).astype(np.float32)
         y_train = rephms_forward(x, spec, units)
         deployed = deploy_units(units)
-        for unit in deployed.values():
-            if isinstance(unit, RepHConvWeights):
-                assert unit.form == "deployed"
-            else:
-                assert unit.bn is None
+        for path, unit in deployed.items():
+            assert isinstance(unit, ConvUnit) and unit.bn is None, path
+            if path.endswith(".mixer"):
+                assert unit.act is False and unit.kernel.groups == unit.kernel.out_channels
         y_deploy = rephms_forward(x, spec, deployed)
         assert np.abs(y_train - y_deploy).max() <= 1e-3
 
-    def test_deploying_twice_is_rejected(self):
-        """Folding an already-merged mixer raises instead of merging again."""
+    @pytest.mark.parametrize("path", ["s2.b1.mixer", "s2.b1.pw"])
+    def test_deploying_twice_is_rejected(self, path):
+        """Folding an already-deployed slot, a merged mixer or a BN-folded
+        conv unit, raises instead of folding again."""
         rng = np.random.default_rng(34)
         deployed = deploy_units(random_rephms(RepHMSSpec(16, 16, 2, 1, 3), rng))
         with pytest.raises(StateError, match="already in deployed form"):
-            fold_slot(deployed["s2.b1.mixer"])
+            fold_slot(deployed[path])
 
     def test_spec_validation(self):
         with pytest.raises(Exception):

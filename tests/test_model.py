@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import mhaf.blocks
 import mhaf.model
 import mhaf.reparam
+from mhaf.blocks import ConvUnit, fold_slot
 from mhaf.config import ModelSpec, load_preset, parse_config, serialize_config
 from mhaf.errors import NumericError, ShapeError, StateError
 from mhaf.ghfks import default_plan, uniform_plan
@@ -26,7 +27,13 @@ from mhaf.graph import (
 from mhaf.model import benchmark_forward, forward, fuse_model
 from mhaf.reparam import RepHConvWeights, fuse_conv_bn, merge_heterogeneous
 from mhaf.tensor import conv2d_naive
-from mhaf.weights import bind_node_weights, init_weights, load_weights, save_weights
+from mhaf.weights import (
+    bind_node_weights,
+    bind_slots,
+    init_weights,
+    load_weights,
+    save_weights,
+)
 
 from oracles import normalized_max_error
 
@@ -364,7 +371,7 @@ def deployed_entries_by_hand(graph, store):
 
     def emit(prefix, unit):
         if isinstance(unit, RepHConvWeights):
-            fused = merge_heterogeneous(unit).fused
+            fused = merge_heterogeneous(unit)
             out[f"{prefix}.fused.weight"] = fused.weights
             out[f"{prefix}.fused.bias"] = fused.bias
         else:
@@ -409,6 +416,37 @@ class TestFusionOracle:
             assert got.dtype == want.dtype == np.float32, name
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+
+    def test_deployed_binding_gives_the_folded_slots(self):
+        """Binding a fused composite node gives, slot for slot, what
+        fold_slot makes of the training-form slots: BN-free ConvUnits with
+        the same hyper-parameters and equal arrays."""
+        graph = assemble(load_preset("nano"))
+        store = non_identity_bn_store(graph, seed=9)
+        outcome = fuse_model(graph, store)
+        composite = 0
+        for node in graph:
+            if node.kind not in ("rephms", "saf", "aaf"):
+                continue
+            composite += 1
+            folded = {
+                path: fold_slot(unit)
+                for path, unit in bind_slots(node, store, "training").items()
+            }
+            fused_node = outcome.graph.node(node.name)
+            bound = bind_slots(fused_node, outcome.store, "deployed")
+            assert list(bound) == list(folded), node.name
+            for path, want in folded.items():
+                got = bound[path]
+                where = f"{node.name}.{path}"
+                assert isinstance(got, ConvUnit) and isinstance(want, ConvUnit), where
+                assert got.bn is None and want.bn is None, where
+                assert got.act == want.act, where
+                g, w = got.kernel, want.kernel
+                assert (g.stride, g.padding, g.groups) == (w.stride, w.padding, w.groups), where
+                assert np.array_equal(g.weights, w.weights), where
+                assert np.array_equal(g.bias, w.bias), where
+        assert composite > 0
 
 
 @st.composite

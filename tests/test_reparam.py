@@ -8,7 +8,7 @@ ops compute.
 import numpy as np
 import pytest
 
-from mhaf.errors import KernelError, StateError
+from mhaf.errors import KernelError
 from mhaf.reparam import (
     RepHConvSpec,
     RepHConvWeights,
@@ -19,7 +19,7 @@ from mhaf.reparam import (
     rephconv_forward,
     verify_equivalence,
 )
-from mhaf.tensor import BNParams, ConvKernel, batchnorm_infer, conv2d_naive
+from mhaf.tensor import BNParams, ConvKernel, batchnorm_infer, conv2d_fast, conv2d_naive
 
 from oracles import normalized_max_error
 
@@ -139,41 +139,31 @@ class TestMerge:
             want = np.zeros((1, 8, 12, 12), dtype=np.float32)
             for kernel, bn in weights.branches:
                 want = want + batchnorm_infer(conv2d_naive(x, kernel), bn)
-            deployed = merge_heterogeneous(weights)
-            got = conv2d_naive(x, deployed.fused)
+            got = conv2d_naive(x, merge_heterogeneous(weights))
             err = float(np.abs(got.astype(np.float64) - want.astype(np.float64)).max())
             assert err <= tol, f"main {main_k} trial {trial}: {err:.2e}"
 
-    def test_merge_is_single_shot(self):
-        """Re-merging a deployed unit raises instead of silently no-oping."""
-        weights = random_rephconv(RepHConvSpec(4, 5), np.random.default_rng(0))
-        deployed = merge_heterogeneous(weights)
-        with pytest.raises(StateError):
-            merge_heterogeneous(deployed)
-
     @pytest.mark.parametrize("channels,main_k", [(4, 3), (8, 5), (16, 9)])
     def test_deployed_parameter_count(self, channels, main_k):
-        """Deployed form carries exactly channels * (k*k + 1) parameters."""
+        """Deployed form is one depthwise kernel of the main size, carrying
+        exactly channels * (k*k + 1) parameters."""
         weights = random_rephconv(RepHConvSpec(channels, main_k), np.random.default_rng(1))
         deployed = merge_heterogeneous(weights)
-        assert deployed.param_count() == channels * (main_k * main_k + 1)
+        assert deployed.weights.shape == (channels, 1, main_k, main_k)
+        assert (deployed.stride, deployed.groups) == (1, channels)
+        assert deployed.weights.size + deployed.bias.size == channels * (main_k * main_k + 1)
 
     def test_forward_uses_declared_form(self):
         rng = np.random.default_rng(2)
         weights = random_rephconv(RepHConvSpec(6, 7), rng)
         x = rng.standard_normal((1, 6, 10, 10)).astype(np.float32)
         y_train = rephconv_forward(x, weights)
-        y_deploy = rephconv_forward(x, merge_heterogeneous(weights))
+        y_deploy = conv2d_fast(x, merge_heterogeneous(weights))
         assert y_train.shape == y_deploy.shape == (1, 6, 10, 10)
         assert np.abs(y_train - y_deploy).max() <= 1e-4
 
 
 class TestWeightValidation:
-    def test_exactly_one_form(self):
-        spec = RepHConvSpec(4, 3)
-        with pytest.raises(StateError):
-            RepHConvWeights(spec=spec)
-
     def test_branch_sizes_checked(self):
         spec = RepHConvSpec(4, 5)
         only_main = [

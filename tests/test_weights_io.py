@@ -1,5 +1,6 @@
 """Tests for weight initialization and the checksummed container format."""
 
+import copy
 import dataclasses
 import os
 import struct
@@ -193,6 +194,18 @@ class TestInitialization:
     def test_unknown_lookup_raises(self):
         with pytest.raises(StateError, match="no entry"):
             small_store()["nonexistent.weight"]
+
+    @pytest.mark.parametrize(
+        "other", [copy.deepcopy, lambda store: small_store()], ids=["deepcopy", "same-seed"]
+    )
+    def test_equality_is_identity(self, other):
+        # stores hold arrays, whose elementwise == has no single truth value,
+        # so == compares identity and answers rather than raising
+        store = small_store()
+        twin = other(store)
+        assert store == store
+        assert not store == twin
+        assert store != twin
 
 
 class TestBindingIdentity:
