@@ -9,10 +9,11 @@ Conventions
   (:func:`conv2d_naive`) accumulates every output element in a fixed
   (kernel-row, kernel-col, input-channel) order, so repeated runs are
   bit-identical.  :func:`conv2d_fast` trades that fixed order for speed
-  and has two routes, both one BLAS matmul: depthwise kernels multiply
-  each channel's overlapping input rows by a banded (Toeplitz) matrix of
-  its taps, and every other conv multiplies grouped im2col patch columns.
-  It is validated against the reference to a relative tolerance.
+  and has two routes, both BLAS matmuls.  Depthwise kernels cut each
+  output row into equal tiles and multiply each tile's overlapping input
+  rows by one banded (Toeplitz) matrix of the channel's taps that every
+  tile shares; every other conv is one matmul of grouped im2col patch
+  columns.  It is validated against the reference to a relative tolerance.
 * Spatial downsampling by pooling/striding always uses factor 2, matching
   the stage layout of the models built on top of these ops.
 """
@@ -251,34 +252,79 @@ def _im2col(
     return np.ascontiguousarray(windows).reshape(b, groups, cpg * k * k, oh * ow)
 
 
+# Widest depthwise output tile, and the most bytes of tile rows copied at once.
+_TILE_MAX = 12
+_ROWS_CHUNK_BYTES = 1 << 20
+
+
+def _tile_width(ow: int, s: int) -> int:
+    """Output columns per depthwise tile: the largest divisor of ``ow`` up
+    to ``_TILE_MAX``, or the whole row (one tile) when that divisor is
+    under half of ``min(ow, _TILE_MAX)`` or the conv is strided."""
+    if s > 1:
+        return ow
+    cap = min(ow, _TILE_MAX)
+    t = max(d for d in range(1, cap + 1) if ow % d == 0)
+    return t if 2 * t >= cap else ow
+
+
 def _depthwise_band(xp: np.ndarray, w: np.ndarray, s: int, oh: int, ow: int) -> np.ndarray:
     """Depthwise conv (multiplier 1) of the padded input ``xp``; NCHW out.
 
-    Per channel, output row ``y`` reads padded rows ``y*s .. y*s+k-1`` as
-    one vector of length ``k*Wp`` (an overlapping view of ``xp``).  The
-    ``(C, k*Wp, ow)`` band holds tap ``w[c, i, j]`` at ``[i*Wp + x*s + j, x]``
-    and zeros elsewhere, so one matmul sums each output's k*k taps.  Bands
-    are built per call and never kept: the deployed model's total 25 MB.
+    Each output row is cut into ``nt`` tiles of ``T`` columns
+    (:func:`_tile_width`; the tiles fit the row exactly).  Per channel,
+    tile ``t`` of output row ``y`` reads padded rows ``y*s .. y*s+k-1``,
+    columns ``t*T*s`` on, as one vector of length ``k*L``.  One
+    ``(C, k*L, T)`` band per channel serves every tile: it holds tap
+    ``w[c, i, j]`` at ``[i*L + x*s + j, x]`` and zeros elsewhere, so a
+    matmul sums each output's k*k taps.  The band is one copy of a
+    negative-stride view of the taps, zero-padded to ``s*(T-1) + L``
+    columns.  With one tile the rows are a view of ``xp`` (``L = Wp``) and
+    one matmul does the call; with several (stride 1 only, ``L = T+k-1``)
+    they overlap and are copied in channel chunks of at most
+    ``_ROWS_CHUNK_BYTES``, each multiplied into its slice of the output.
+    Nothing is kept between calls.
     """
     b, c, _, wp = xp.shape
     k = w.shape[2]
+    t = _tile_width(ow, s)
+    nt = ow // t
+    span = wp if nt == 1 else t + k - 1
+    base = s * (t - 1)
+    taps = np.zeros((c, k, base + span), dtype=np.float32)
+    taps[:, :, base : base + k] = w[:, 0]
+    tc, ti, tj = taps.strides
+    band = np.ascontiguousarray(
+        as_strided(
+            taps[:, :, base:], shape=(c, k, span, t), strides=(tc, ti, tj, -s * tj),
+            writeable=False,
+        )
+    ).reshape(c, k * span, t)
     sb, sc, sh, sw = xp.strides
     rows = as_strided(
-        xp, shape=(b, c, oh, k, wp), strides=(sb, sc, sh * s, sh, sw), writeable=False
-    ).reshape(b, c, oh, k * wp)
-    i, j, x = np.ogrid[:k, :k, :ow]
-    band = np.zeros((c, k * wp, ow), dtype=np.float32)
-    band[:, i * wp + x * s + j, x] = w[:, 0, :, :, None]
-    return np.matmul(rows, band)
+        xp, shape=(b, c, oh, nt, k, span), strides=(sb, sc, sh * s, sw * t, sh, sw),
+        writeable=False,
+    )
+    # one tile's rows reshape to a view of xp; several tiles' rows are copies
+    step = c if nt == 1 else max(1, _ROWS_CHUNK_BYTES // (b * oh * nt * k * span * 4))
+    out = np.empty((b, c, oh, ow), dtype=np.float32)
+    tiles = out.reshape(b, c, oh * nt, t)
+    for c0 in range(0, c, step):
+        np.matmul(
+            rows[:, c0 : c0 + step].reshape(b, -1, oh * nt, k * span),
+            band[c0 : c0 + step],
+            out=tiles[:, c0 : c0 + step],
+        )
+    return out
 
 
 def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """Fast convolution, numerically equivalent to :func:`conv2d_naive` up
     to float32 rounding.
 
-    Two routes, each one matmul after padding once.  Depthwise kernels
-    (groups == in == out channels) multiply overlapping input rows by a
-    banded matrix of the taps (:func:`_depthwise_band`).  Every other conv
+    Two routes, both BLAS matmuls after padding once.  Depthwise kernels
+    (groups == in == out channels) multiply overlapping input tile rows by
+    a banded matrix of the taps (:func:`_depthwise_band`).  Every other conv
     (pointwise, dense, grouped, channel-multiplier depthwise, any stride or
     padding) multiplies the grouped weights with im2col patch columns
     (:func:`_im2col`).
@@ -287,7 +333,8 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     float32 rounding.  For non-finite inputs, every output that
     :func:`conv2d_naive` makes non-finite is non-finite here too, but the
     depthwise route may make more: ``0 * inf`` in the band's zeros spreads
-    NaN along output rows, and numpy warns of the invalid value.
+    NaN along the row of each output tile that reads the value, and numpy
+    warns of the invalid value.
     """
     oh, ow = _check_conv_args(x, kernel)
     b, cin = x.shape[:2]

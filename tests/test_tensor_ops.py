@@ -1,5 +1,6 @@
 """Tests for the core tensor ops against independent scalar oracles."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -123,6 +124,11 @@ DISPATCH_CASES = [
     (16, 16, 5, 2, 16, (15, 17)),    # strided depthwise on an odd-width map
     (16, 16, 1, 1, 16, (14, 18), 2), # unpadded depthwise 1x1 on a channel slice
     (8, 8, 5, 1, 8, (1, 12)),        # depthwise with a single output row
+    (160, 160, 5, 1, 160, (40, 40)), # tiled depthwise, rows copied in uneven channel chunks
+    (16, 16, 3, 1, 16, (14, 13)),    # depthwise on a prime width: one tile
+    (16, 16, 9, 1, 16, (14, 22)),    # depthwise tile (11 columns) narrower than its kernel
+    (8, 8, 3, 1, 8, (6, 80)),        # depthwise on a wide map: eight tiles per row
+    (32, 32, 3, 1, 32, (40, 40), 2), # tiled depthwise on a channel slice, two chunks
 ]
 
 
@@ -169,17 +175,36 @@ class TestConvFast:
     def test_nonfinite_outputs_cover_the_reference_ones(self):
         """One inf input: wherever the reference output is non-finite, the
         fast one is too.  The depthwise band's zeros meet the inf as 0 * inf,
-        so the fast route makes whole output rows NaN and numpy warns."""
+        so the fast route makes the output rows of the tiles that read it
+        NaN and numpy warns.  Width 12 is one tile; width 24 is two, and the
+        tile that never reads the inf stays finite."""
         rng = np.random.default_rng(303)
-        x = rng.standard_normal((1, 2, 5, 12)).astype(np.float32)
-        x[0, 0, 2, 5] = np.inf
         ker = random_kernel(rng, 2, 2, 3, groups=2)
-        with pytest.warns(RuntimeWarning, match="invalid value"):
-            fast = conv2d_fast(x, ker)
-        bad = ~np.isfinite(conv2d_naive(x, ker))
-        assert bad.sum() == 9
-        assert np.all(~np.isfinite(fast)[bad])
-        assert np.all(np.isfinite(fast[:, 1]))
+        for width in (12, 24):
+            x = rng.standard_normal((1, 2, 5, width)).astype(np.float32)
+            x[0, 0, 2, 5] = np.inf
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                fast = conv2d_fast(x, ker)
+            bad = ~np.isfinite(conv2d_naive(x, ker))
+            assert bad.sum() == 9
+            assert np.all(~np.isfinite(fast)[bad])
+            assert np.all(np.isfinite(fast[:, 1]))
+            assert np.all(np.isfinite(fast[:, :, :, 12:]))
+
+    def test_depthwise_peak_memory(self):
+        """One depthwise k=5 conv of a 160x40x40 map allocates under 6 MB at
+        its peak: the padded input, the output, one shared tile band and a
+        channel chunk of tile rows, not a band as wide as the map."""
+        rng = np.random.default_rng(304)
+        x = rng.standard_normal((1, 160, 40, 40)).astype(np.float32)
+        ker = random_kernel(rng, 160, 160, 5, groups=160)
+        tracemalloc.start()
+        try:
+            conv2d_fast(x, ker)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(301)
