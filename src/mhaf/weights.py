@@ -18,12 +18,16 @@ Store-level metadata (form, seed, config digest) rides along as a reserved
 entry named ``__meta__`` whose payload encodes a UTF-8 string one byte per
 float, keeping the container format uniform; a store may not use that name.
 
-The checksum runs lane-parallel: the payload is cut into ``LANES`` equal
-lanes, all lanes run slice-by-8 at once as numpy ``uint64`` vectors, and the
-lane CRCs are joined by a GF(2) "append zero bytes" map, as zlib's
-``crc32_combine`` does.  The result is the plain CRC-64/XZ, so the format is
-unchanged.  Loading verifies it, then copies each entry once into its own
-aligned, writable float32 array.
+The checksum runs lane-parallel, in levels: the main level interleaves
+``LANES`` lanes over the payload's words (lane l holds words l, l + LANES,
+...), so every row of one word per lane is a view of the buffer, and steps
+all lanes at once as numpy ``uint64`` vectors through 16-bit tables.  The
+lane CRCs are joined by GF(2) "append zero bytes" maps, as zlib's
+``crc32_combine`` does.  A narrower level takes the words past the last
+whole row, and a scalar slice-by-8 loop the last few KiB at most.  The
+result is the plain CRC-64/XZ, so the format is unchanged.  Loading
+verifies it, then copies each entry once into its own aligned, writable
+float32 array.
 """
 
 from __future__ import annotations
@@ -120,6 +124,23 @@ def init_weights(graph: ModelGraph, seed: int = 0) -> WeightStore:
     return store
 
 
+def _check_entry(name: str, arr) -> None:
+    """Raise a ShapeError naming the entry unless ``arr`` is a C-contiguous
+    float32 array: the one form that binding uses without a copy and that
+    the container stores without a conversion."""
+    if not isinstance(arr, np.ndarray):
+        got = type(arr).__name__
+    elif arr.dtype != np.float32:
+        got = f"dtype {arr.dtype}"
+    elif not arr.flags.c_contiguous:
+        got = "a non-contiguous layout"
+    else:
+        return
+    raise ShapeError(
+        f"weight entry '{name}' must be a C-contiguous float32 array, got {got}"
+    )
+
+
 def validate_store(graph: ModelGraph, store: WeightStore) -> None:
     """Check that a store matches a graph: same form, same config digest
     (when both are known), exactly the expected entry names/shapes, and
@@ -135,17 +156,7 @@ def validate_store(graph: ModelGraph, store: WeightStore) -> None:
             f"store was created for config {store.spec_digest}, graph is {digest}"
         )
     for name, arr in store.entries.items():
-        if not isinstance(arr, np.ndarray):
-            got = type(arr).__name__
-        elif arr.dtype != np.float32:
-            got = f"dtype {arr.dtype}"
-        elif not arr.flags.c_contiguous:
-            got = "a non-contiguous layout"
-        else:
-            continue
-        raise ShapeError(
-            f"weight entry '{name}' must be a C-contiguous float32 array, got {got}"
-        )
+        _check_entry(name, arr)
     expected = {e.name: e.shape for e in graph_param_entries(graph)}
     got = {name: arr.shape for name, arr in store.entries.items()}
     if expected != got:
@@ -255,21 +266,22 @@ def _build_tables() -> list[list[int]]:
 
 _TABLES = _build_tables()
 _MASK = 0xFFFFFFFFFFFFFFFF
-# Lanes of the vector path; one lane block is 8 * LANES bytes, one word per
-# lane.  Inputs shorter than a block, and the tail past the last whole
-# block, take the scalar loop.
-LANES = 4096
-# Words per lane made contiguous at a time, a 1 MiB block: a transposed copy
-# of the whole payload would be a second payload-sized buffer, and where
-# malloc places one decides the process's peak RSS.
-_BLOCK_ROWS = 32
+# Lane counts of the vector levels, main level first; each is a power of
+# two.  Lane l of a level holds words l, l + lanes, l + 2 * lanes, ... of
+# its input, so one row, a word per lane, is a contiguous run of the buffer.
+# The words past a level's last whole row go to the next level, and the
+# bytes past the last level's (under 8 * 256 + 8) to the scalar loop.
+LANES = 8192
+_LEVELS = (LANES, 256)
 # A linear map on the 64-bit register in table form: row j holds the images
 # of the 256 values of the register's byte j (least significant first).
-# The slice-by-8 step is such a map, the one that appends 8 zero bytes.
+# The slice-by-8 step T is such a map, the one that appends 8 zero bytes.
 _STEP = np.array(_TABLES[::-1], dtype=np.uint64)
 _UNIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-# column of byte j (least significant first) in a uint8 view of a uint64
+# column of byte j, and of 16-bit half-word j, (least significant first) in
+# a uint8 and a uint16 view of a uint64
 _BYTE_COL = range(8) if sys.byteorder == "little" else range(7, -1, -1)
+_HALF_COL = range(4) if sys.byteorder == "little" else range(3, -1, -1)
 
 
 def _apply(op: np.ndarray, regs: np.ndarray) -> np.ndarray:
@@ -288,6 +300,47 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for bit in range(8):
         op[:, 1 << bit : 2 << bit] = op[:, : 1 << bit] ^ images[:, bit : bit + 1]
     return op
+
+
+def _squarings(op: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """``op``, its square, its fourth power, ...: ``count`` maps."""
+    powers = [op]
+    while len(powers) < count:
+        powers.append(_compose(powers[-1], powers[-1]))
+    return tuple(powers)
+
+
+# _T_POW[k] is T ** (2 ** k): the fold's maps and every level's row step
+_T_POW = _squarings(_STEP, LANES.bit_length())
+
+
+def _wide_tables(op: np.ndarray) -> list[np.ndarray]:
+    """``op`` in 16-bit table form: table j holds the images of the 65536
+    values of the register's half-word j (least significant first).
+
+    Four 512 KiB arrays, not one 2 MiB array: freeing a 2 MiB block lifts
+    glibc's dynamic mmap threshold to its size, so a training forward's
+    1-2 MiB maps then come from the heap, and its peak RSS rose by 3 MB.
+    """
+    # half-word j's value hi * 256 + lo is byte 2j + 1 = hi and byte 2j = lo
+    return [
+        np.bitwise_xor(op[2 * j + 1, :, None], op[2 * j, None, :]).reshape(-1)
+        for j in range(4)
+    ]
+
+
+def _apply_wide(
+    tables: list[np.ndarray], regs: np.ndarray, out: np.ndarray, tmp: np.ndarray
+) -> None:
+    """Write the image of ``regs`` under the 16-bit table form ``tables``
+    to ``out``; ``tmp`` is scratch of the same shape."""
+    halves = regs.view(np.uint16).reshape(regs.size, 4)
+    # a uint16 index is always in range, and "clip" skips the bounds check
+    # and the buffering that the default mode does
+    tables[0].take(halves[:, _HALF_COL[0]], out=out, mode="clip")
+    for j in range(1, 4):
+        tables[j].take(halves[:, _HALF_COL[j]], out=tmp, mode="clip")
+        out ^= tmp
 
 
 def _crc_scalar(crc: int, data: np.ndarray) -> int:
@@ -311,32 +364,33 @@ def _crc_scalar(crc: int, data: np.ndarray) -> int:
     return crc
 
 
-def _crc_lanes(data: np.ndarray) -> int:
-    """Register after ``data`` (a whole number of lane blocks) from the
-    all-ones init: slice-by-8 on every lane at once, then a pairwise fold."""
-    rows = data.size // (8 * LANES)
-    lanes = data.view("<u8").reshape(LANES, rows)
-    regs = np.zeros(LANES, dtype=np.uint64)
-    regs[0] = _MASK  # every other lane runs from zero: a raw, linear CRC
-    for start in range(0, rows, _BLOCK_ROWS):
-        block = lanes[:, start : start + _BLOCK_ROWS].T
-        for row in np.ascontiguousarray(block, dtype=np.uint64):
-            regs ^= row
-            regs = _apply(_STEP, regs)
-    # reg(A + B) = Z(reg(A)) ^ reg0(B), Z appending len(B) zero bytes
-    zeros, power, n = None, _STEP, rows
-    while n:
-        if n & 1:
-            zeros = power if zeros is None else _compose(power, zeros)
-        n >>= 1
-        if n:
-            power = _compose(power, power)
-    while regs.size > 1:
+def _crc_level(crc: int, words: np.ndarray, lanes: int) -> int:
+    """Register after the whole rows of ``words`` (little-endian words, at
+    least one row of ``lanes``) from the raw register ``crc``.
+
+    With T the slice-by-8 step, each row step appends one row's worth of
+    zero bytes to every lane, ``S = T ** lanes``, then xors the row in;
+    only lane 0 starts from ``crc``, the others from zero (raw, linear
+    CRCs).  Lane l then still lacks ``T ** (lanes - l)``, the steps of its
+    own last word and of the words after it in the last row, so adjacent
+    lanes fold pairwise, the left one through T, T², T⁴, ... per level, and
+    the folded register takes one final T.
+    """
+    rows = words.size // lanes
+    grid = words[: rows * lanes].reshape(rows, lanes)
+    step = _wide_tables(_T_POW[lanes.bit_length() - 1])
+    regs = grid[0].astype(np.uint64)
+    regs[0] ^= np.uint64(crc)
+    out, tmp = np.empty_like(regs), np.empty_like(regs)
+    for row in grid[1:]:
+        _apply_wide(step, regs, out, tmp)
+        np.bitwise_xor(out, row, out=regs)
+    for power in _T_POW:
+        if regs.size == 1:
+            break
         pairs = regs.reshape(-1, 2)
-        regs = _apply(zeros, np.ascontiguousarray(pairs[:, 0])) ^ pairs[:, 1]
-        if regs.size > 1:
-            zeros = _compose(zeros, zeros)
-    return int(regs[0])
+        regs = _apply(power, np.ascontiguousarray(pairs[:, 0])) ^ pairs[:, 1]
+    return int(_apply(_T_POW[0], regs)[0])
 
 
 def crc64_xz(data) -> int:
@@ -344,18 +398,25 @@ def crc64_xz(data) -> int:
     of any bytes-like object; the check value of b"123456789" is
     0x995DC9BBDF1939FA.
 
-    The whole lane blocks are split into ``LANES`` equal lanes that run
-    slice-by-8 together as numpy ``uint64`` vectors, only lane 0 seeded
-    with the init.  CRCs are linear, so adjacent lanes fold pairwise with
-    the map that appends one lane's length of zero bytes (the technique of
-    zlib's ``crc32_combine``), squared once per level of the fold.  The
-    remainder, and any input shorter than one block, takes the scalar
-    slice-by-8 loop.
+    The words run through the lane levels of ``_LEVELS`` (``LANES`` lanes,
+    then 256) in turn, each level starting from the register the one before
+    left.  A level of L lanes interleaves them (lane l holds words l,
+    l + L, ...), so each row of L words is a view of the buffer, not a
+    copy, and the row step applies ``T ** L`` (T the slice-by-8 step)
+    through 16-bit tables: four gathers from four 65536-entry tables that
+    each call builds per level.  CRCs are linear, so the lanes then fold
+    pairwise with the map that appends zero bytes (the technique of zlib's
+    ``crc32_combine``).  The bytes past the last level's whole rows, a few
+    KiB at most, take the scalar slice-by-8 loop.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    split = buf.size - buf.size % (8 * LANES)
-    crc = _crc_lanes(buf[:split]) if split else _MASK
-    return _crc_scalar(crc, buf[split:]) ^ _MASK
+    words = buf[: buf.size - buf.size % 8].view("<u8")
+    crc, done = _MASK, 0
+    for lanes in _LEVELS:
+        if words.size - done >= lanes:
+            crc = _crc_level(crc, words[done:], lanes)
+            done += (words.size - done) // lanes * lanes
+    return _crc_scalar(crc, buf[8 * done :]) ^ _MASK
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +458,9 @@ def _pack_entry(buf: bytearray, name: str, arr: np.ndarray) -> None:
 
 def save_weights(store: WeightStore, path: str) -> None:
     """Write the store to the binary container (metadata entry first, then
-    data entries in insertion order, then the checksum).
+    data entries in insertion order, then the checksum).  Every entry must
+    be a C-contiguous float32 array, as :func:`validate_store` requires; any
+    other raises a ShapeError naming it before a byte is written.
 
     The bytes go to a temporary file beside ``path`` that ``os.replace``
     then moves over it, so an existing file at ``path`` is either left
@@ -413,6 +476,7 @@ def save_weights(store: WeightStore, path: str) -> None:
     buf += struct.pack("<I", len(store.entries) + 1)
     _pack_entry(buf, META_ENTRY, _encode_meta(store))
     for name, arr in store.entries.items():
+        _check_entry(name, arr)
         _pack_entry(buf, name, arr)
     buf += struct.pack("<Q", crc64_xz(buf))
     # a named temp file rather than tempfile.mkstemp, whose 0600 mode would

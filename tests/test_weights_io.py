@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mhaf.graph import assemble, node_param_entries
 from mhaf.model import fuse_model
 from mhaf.tensor import BNParams, ConvKernel
 from mhaf.weights import (
+    _LEVELS,
     LANES,
     WeightStore,
     bind_node_weights,
@@ -111,7 +113,9 @@ class TestChecksum:
 class TestLaneChecksum:
     """Lengths that reach the lane-parallel path, against the bitwise oracle."""
 
-    BLOCK = 8 * LANES  # one word per lane
+    BLOCK = 8 * LANES  # one word per lane of the main level
+    # one row of each lane level, main level first
+    LEVEL_BLOCKS = tuple(8 * lanes for lanes in _LEVELS)
 
     def test_lane_block_boundaries(self):
         rng = np.random.default_rng(11)
@@ -119,6 +123,20 @@ class TestLaneChecksum:
         for length in (block - 1, block, block + 1, block + 7, 3 * block + 8 * 5 + 3):
             data = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
             assert crc64_xz(data) == crc64_bitwise(data), length
+
+    def test_every_level_block_boundary(self):
+        rng = np.random.default_rng(13)
+        for block in self.LEVEL_BLOCKS:
+            for length in (block - 1, block, block + 1):
+                data = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+                assert crc64_xz(data) == crc64_bitwise(data), length
+
+    def test_remainder_at_every_level(self):
+        # whole rows of every level, then words that fill no row of the
+        # last level, then bytes that fill no word
+        length = sum(2 * b for b in self.LEVEL_BLOCKS) + 8 * 5 + 3
+        data = np.random.default_rng(14).integers(0, 256, size=length, dtype=np.uint8)
+        assert crc64_xz(data) == crc64_bitwise(data.tobytes())
 
     def test_any_bytes_like_input(self):
         rng = np.random.default_rng(12)
@@ -128,10 +146,33 @@ class TestLaneChecksum:
         # an odd offset leaves the words unaligned in memory
         assert crc64_xz(memoryview(data)[1:]) == expected
 
+    def test_every_memoryview_offset(self):
+        # the same multi-block payload at each misaligned offset: every row
+        # of every level is then an unaligned view of the buffer
+        length = 2 * self.BLOCK + sum(self.LEVEL_BLOCKS[1:]) + 13
+        payload = np.random.default_rng(15).integers(0, 256, size=length, dtype=np.uint8)
+        expected = crc64_bitwise(payload.tobytes())
+        for offset in range(1, 8):
+            buf = bytes(offset) + payload.tobytes()
+            assert crc64_xz(memoryview(buf)[offset:]) == expected, offset
+
     def test_all_ones_and_zeros_blocks(self):
         for fill in (b"\x00", b"\xff"):
             data = fill * (2 * self.BLOCK)
             assert crc64_xz(data) == crc64_bitwise(data)
+
+    def test_no_payload_sized_copy(self):
+        # the rows are views of the input; only the step tables (4 x 512
+        # KiB) and lane-sized registers are allocated, so a transposed or
+        # padded copy of the 8 MiB input would show in the peak
+        data = np.random.default_rng(16).integers(0, 256, size=8 << 20, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            crc64_xz(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestInitialization:
@@ -292,6 +333,20 @@ class TestRoundTrip:
         loaded.entries[name] += 1.0
         assert all(np.array_equal(loaded.entries[k], v) for k, v in before.items())
         assert np.array_equal(loaded.entries[name], small_store()[name] + 1.0)
+
+    @pytest.mark.parametrize(
+        "recast, got",
+        [(lambda a: a.astype(np.float64), "got dtype float64"), (lambda a: a.tolist(), "got list")],
+        ids=["float64", "list"],
+    )
+    def test_non_float32_entry_rejected_at_save(self, tmp_path, recast, got):
+        # a float64 entry would load back as float32, a different store
+        store = small_store()
+        store.entries["stem.1.conv.weight"] = recast(store["stem.1.conv.weight"])
+        match = f"'stem.1.conv.weight' must be a C-contiguous float32 array, {got}"
+        with pytest.raises(ShapeError, match=match):
+            save_weights(store, tmp_path / "w.mhwt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_reserved_entry_name_rejected_at_save(self, tmp_path):
         path = tmp_path / "meta.mhwt"
