@@ -76,17 +76,18 @@ def _add_uniform_arg(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _int_from(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``.  argparse
-    names the flag in the error and exits 2."""
+def _at_least(minimum: int, convert=int):
+    """argparse type: a number, parsed by ``convert``, no smaller than
+    ``minimum`` (NaN fails too).  argparse names the flag in the error and
+    exits 2."""
 
-    def integer(text: str) -> int:
-        value = int(text)  # argparse reports "invalid integer value"
-        if value < minimum:
+    def number(text: str):
+        value = convert(text)  # argparse reports "invalid number value"
+        if not value >= minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
 
-    return integer
+    return number
 
 
 def _resolve_spec(args):
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_arg(sub)
 
     sub = command("shapes", _cmd_shapes, "print per-node output shapes and totals")
-    sub.add_argument("--input", type=_int_from(1), metavar="N", help="input resolution override")
+    sub.add_argument("--input", type=_at_least(1), metavar="N", help="input resolution override")
     _add_format_arg(sub)
     _add_out_arg(sub)
 
@@ -397,32 +398,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out_arg(sub, what="graph")
 
     sub = command("init", _cmd_init, "write deterministically initialized weights")
-    sub.add_argument("--seed", type=_int_from(0), default=0, help="RNG seed (default 0)")
+    sub.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
     _add_out_arg(sub, required=True, what="weight file")
     _add_format_arg(sub)
 
     sub = command("fuse", _cmd_fuse, "fold normalization into conv weights and verify")
     sub.add_argument("--weights", metavar="FILE", help="training-form weight file (default: fresh init)")
-    sub.add_argument("--seed", type=_int_from(0), default=0, help="seed for init and test inputs (default 0)")
-    sub.add_argument("--trials", type=_int_from(1), default=10, help="verification inputs (default 10)")
-    sub.add_argument("--input", type=_int_from(1), default=320, metavar="N", help="verification resolution (default 320)")
-    sub.add_argument("--tol", type=float, default=1e-2, help="max allowed deviation (default 1e-2)")
+    sub.add_argument("--seed", type=_at_least(0), default=0, help="seed for init and test inputs (default 0)")
+    sub.add_argument("--trials", type=_at_least(1), default=10, help="verification inputs (default 10)")
+    sub.add_argument("--input", type=_at_least(1), default=320, metavar="N", help="verification resolution (default 320)")
+    sub.add_argument("--tol", type=_at_least(0, float), default=1e-2, help="max allowed deviation (default 1e-2)")
     _add_out_arg(sub, required=True, what="fused weight file")
     _add_format_arg(sub)
 
     sub = command("verify", _cmd_verify, "check multi-branch/single-kernel equivalence for every mixer")
     _add_uniform_arg(sub)
-    sub.add_argument("--seed", type=_int_from(0), default=0, help="RNG seed (default 0)")
-    sub.add_argument("--trials", type=_int_from(1), default=100, help="random draws per mixer (default 100)")
-    sub.add_argument("--tol", type=float, default=1e-4, help="max allowed |error| (default 1e-4)")
+    sub.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
+    sub.add_argument("--trials", type=_at_least(1), default=100, help="random draws per mixer (default 100)")
+    sub.add_argument("--tol", type=_at_least(0, float), default=1e-4, help="max allowed |error| (default 1e-4)")
     _add_format_arg(sub)
     _add_out_arg(sub)
 
     sub = command("bench", _cmd_bench, "time training-form vs deployed-form forward passes")
     sub.add_argument("--weights", metavar="FILE", help="training-form weight file (default: fresh init)")
-    sub.add_argument("--seed", type=_int_from(0), default=0, help="RNG seed (default 0)")
-    sub.add_argument("--trials", type=_int_from(1), default=31, help="timed iterations per form (default 31)")
-    sub.add_argument("--input", type=_int_from(1), default=320, metavar="N", help="input resolution (default 320)")
+    sub.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
+    sub.add_argument("--trials", type=_at_least(1), default=31, help="timed iterations per form (default 31)")
+    sub.add_argument("--input", type=_at_least(1), default=320, metavar="N", help="input resolution (default 320)")
     _add_format_arg(sub)
     _add_out_arg(sub)
 

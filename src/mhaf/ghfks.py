@@ -9,15 +9,15 @@ P3..P5 on both fusion pathways.
 The receptive-field analyzer walks a model graph and propagates, per node,
 the classic (rf, jump) pair: ``rf`` is the input-pixel extent one output
 element can see, ``jump`` the effective stride between neighbouring output
-elements.  A conv with kernel k at jump j grows rf by (k-1)*j; downsampling
-doubles j; upsampling halves it; merge nodes take the worst (largest) rf
-over their input paths.
+elements.  A conv with kernel k at jump j grows rf by (k-1)*j and
+multiplies j by its stride, so every jump is an integer product of conv
+strides.  A fusion node takes the worst (largest) rf over its input paths,
+each grown by its role's op, and sits at its same-level input's jump.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .blocks import FUSION_ROLES
 from .errors import GraphError, KernelError
@@ -126,75 +126,53 @@ class RFEntry:
     """Receptive field and effective stride of one node's output."""
 
     node: str
-    rf: int | float
-    stride: int | float
+    rf: int
+    stride: int
 
     def to_record(self) -> dict:
         return {"node": self.node, "rf": self.rf, "stride": self.stride}
-
-
-def _as_number(value: Fraction) -> int | float:
-    value = Fraction(value)
-    return int(value) if value.denominator == 1 else float(value)
 
 
 def receptive_field(graph) -> dict[str, RFEntry]:
     """Propagate (rf, jump) through every node of a model graph.
 
     Works on any graph object exposing ordered ``nodes`` (a mapping of name
-    to nodes with ``kind``, ``inputs`` and ``attrs``); merge-style nodes
-    take the maximum rf over their inputs and require consistent jumps.
+    to nodes with ``kind``, ``inputs`` and ``attrs``).  A fusion node sits
+    at its ``same`` input's jump and takes the largest rf over its inputs;
+    every other input, scaled by its role's resolution, must land on that
+    jump.
     """
-    state: dict[str, tuple[Fraction, Fraction]] = {}
     entries: dict[str, RFEntry] = {}
-
-    def merged(node, pairs):
-        jumps = {j for _, j in pairs}
-        if len(jumps) != 1:
-            raise GraphError(
-                f"node '{node.name}' merges paths with differing effective "
-                f"strides {sorted(float(j) for j in jumps)}"
-            )
-        return max(rf for rf, _ in pairs), jumps.pop()
-
     for node in graph.nodes.values():
-        ins = [state[i] for i in node.inputs]
+        ins = [entries[i] for i in node.inputs]
         kind = node.kind
         if kind == "input":
-            rf, jump = 1, Fraction(1)
+            rf, jump = 1, 1
         elif kind == "conv":
-            (rf0, j0) = ins[0]
-            rf = rf0 + (node.attrs["kernel"] - 1) * j0
-            jump = j0 * node.attrs.get("stride", 1)
-        elif kind == "pool":
-            (rf0, j0) = ins[0]
-            rf, jump = rf0 + j0, j0 * 2
-        elif kind == "upsample":
-            (rf0, j0) = ins[0]
-            rf, jump = rf0, j0 / 2
+            rf = ins[0].rf + (node.attrs["kernel"] - 1) * ins[0].stride
+            jump = ins[0].stride * node.attrs.get("stride", 1)
         elif kind in ("bn", "silu", "head"):
-            rf, jump = ins[0]
-        elif kind == "concat":
-            rf, jump = merged(node, ins)
+            rf, jump = ins[0].rf, ins[0].stride
         elif kind == "rephms":
-            (rf0, j0) = ins[0]
             depth = (node.attrs["streams"] - 1) * node.attrs["blocks"]
-            rf = rf0 + depth * (node.attrs["kernel"] - 1) * j0
-            jump = j0
+            rf = ins[0].rf + depth * (node.attrs["kernel"] - 1) * ins[0].stride
+            jump = ins[0].stride
         elif kind in FUSION_ROLES:
             table = FUSION_ROLES[kind]
-            pairs = []
-            for role, (rf0, j0) in zip(node.attrs["roles"], ins):
+            by_role = dict(zip(node.attrs["roles"], ins))
+            jump = by_role["same"].stride
+            rf = 0
+            for role, entry in by_role.items():
                 scale, op = table[role]
-                pairs.append((rf0 + _RF_STEPS.get(op, 0) * j0, j0 * Fraction(scale)))
-            rf, jump = merged(node, pairs)
+                if entry.stride * scale != jump:
+                    raise GraphError(
+                        f"node '{node.name}': {role} input sits at stride "
+                        f"{entry.stride}, expected {jump / scale:g}"
+                    )
+                rf = max(rf, entry.rf + _RF_STEPS.get(op, 0) * entry.stride)
         else:
             raise GraphError(f"node '{node.name}' has unanalyzable kind '{kind}'")
-
-        state[node.name] = (Fraction(rf), jump)
-        entries[node.name] = RFEntry(
-            node=node.name, rf=_as_number(rf), stride=_as_number(jump)
-        )
+        entries[node.name] = RFEntry(node=node.name, rf=rf, stride=jump)
     return entries
 
 

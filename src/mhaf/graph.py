@@ -2,10 +2,11 @@
 parameter/FLOP bookkeeping, structural validation, and export.
 
 A graph is an ordered set of typed nodes (insertion order is topological by
-construction).  Primitive kinds (conv, bn, silu, pool, upsample, concat)
-carry their own semantics; composite kinds (rephms, saf, aaf) encapsulate a
-fusion node or aggregation module whose internal weighted slots are
-enumerated by the layout helpers in :mod:`mhaf.blocks`.  Weight entries are
+construction).  Primitive kinds (conv, bn, silu) carry their own
+semantics; composite kinds (rephms, saf, aaf) encapsulate an aggregation
+module or a fusion node, whose internal weighted slots are enumerated by the
+layout helpers in :mod:`mhaf.blocks`.  Pooling, upsampling and
+concatenation run only inside the fusion nodes.  Weight entries are
 named only here (``node_param_entries``, ``slot_entries``); initialization,
 binding, fusion and bookkeeping read those lists.  The fusion kinds' input
 roles (``attrs["roles"]``, one per input) come from
@@ -59,9 +60,6 @@ KINDS = frozenset(
         "conv",
         "bn",
         "silu",
-        "pool",
-        "upsample",
-        "concat",
         "rephms",
         "saf",
         "aaf",
@@ -383,25 +381,6 @@ def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int,
                     raise GraphError(
                         f"head '{node.name}' sits at stride {got}, expected {want}"
                     )
-        elif kind == "pool":
-            c, h, wd = ins[0]
-            if h % 2 or wd % 2:
-                raise ShapeError(
-                    f"node '{node.name}' pools odd spatial dims {h}x{wd}"
-                )
-            shape = (c, h // 2, wd // 2)
-        elif kind == "upsample":
-            c, h, wd = ins[0]
-            shape = (c, 2 * h, 2 * wd)
-        elif kind == "concat":
-            h, wd = ins[0][1:]
-            for i, s in enumerate(ins):
-                if s[1:] != (h, wd):
-                    raise ShapeError(
-                        f"node '{node.name}' concat input {i} has spatial dims "
-                        f"{s[1:]}, expected {(h, wd)}"
-                    )
-            shape = (sum(s[0] for s in ins), h, wd)
         elif kind == "rephms":
             c, h, wd = ins[0]
             if c != node.attrs["in_ch"]:
@@ -537,14 +516,6 @@ class Bookkeeping:
     params: int
     flops: int
     per_node: dict[str, tuple[int, int]]
-
-    @property
-    def gflops(self) -> float:
-        return self.flops / 1e9
-
-    @property
-    def mparams(self) -> float:
-        return self.params / 1e6
 
 
 def count_params_flops(graph: ModelGraph, input_size=None) -> Bookkeeping:

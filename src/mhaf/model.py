@@ -15,16 +15,7 @@ from .blocks import FUSION_ROLES, aaf_fuse, fold_slot, rephms_forward, saf_fuse
 from .errors import NumericError, ShapeError, StateError
 from .graph import ModelGraph, Node, check_input_size, node_param_entries, rephms_spec
 from .reparam import fuse_conv_bn
-from .tensor import (
-    avgpool2d,
-    batchnorm_infer,
-    check_tensor4,
-    concat_channels,
-    conv2d_fast,
-    conv2d_naive,
-    silu,
-    upsample2x,
-)
+from .tensor import batchnorm_infer, check_tensor4, conv2d_fast, conv2d_naive, silu
 from .weights import WeightStore, bind_node_weights, bind_slots, validate_store
 
 __all__ = ["forward", "fuse_model", "FusionOutcome", "benchmark_forward", "BenchResult"]
@@ -38,12 +29,6 @@ def _eval_node(node: Node, ins: list[np.ndarray], bound, conv_fn) -> np.ndarray:
         return batchnorm_infer(ins[0], bound)
     if kind == "silu":
         return silu(ins[0])
-    if kind == "pool":
-        return avgpool2d(ins[0])
-    if kind == "upsample":
-        return upsample2x(ins[0])
-    if kind == "concat":
-        return concat_channels(ins)
     if kind == "rephms":
         return rephms_forward(ins[0], rephms_spec(node), bound)
     if kind in FUSION_ROLES:

@@ -7,11 +7,12 @@ the whole bundle collapses at deployment into a single depthwise conv of the
 largest kernel size:
 
 * fold each branch's BN into its conv weights/bias,
-* zero-pad every smaller kernel to the main size (which keeps the output
-  map identical as long as the conv padding grows by the same amount),
-* sum weights and biases across branches.
+* sum weights and biases across branches, each smaller kernel added into
+  the centred window of its size: zero-padding a kernel to the main size
+  keeps the output map identical as long as the conv padding grows by the
+  same amount.
 
-The functions here implement those three steps plus a self-contained
+The functions here implement those steps plus a self-contained
 numerical equivalence check used by tests and the command-line tool.
 :class:`RepHConvWeights` holds the training form only; the deployed form is
 the plain bias-carrying ``ConvKernel`` that :func:`merge_heterogeneous`
@@ -33,7 +34,6 @@ __all__ = [
     "RepHConvWeights",
     "EquivalenceReport",
     "fuse_conv_bn",
-    "pad_kernel",
     "merge_heterogeneous",
     "rephconv_forward",
     "random_rephconv",
@@ -133,44 +133,21 @@ def fuse_conv_bn(kernel: ConvKernel, bn: BNParams) -> ConvKernel:
     )
 
 
-def pad_kernel(kernel: ConvKernel, target_size: int) -> ConvKernel:
-    """Zero-pad a kernel spatially to a larger odd size.
-
-    The conv padding grows by the same margin, so the returned kernel is a
-    drop-in replacement producing the identical output map.
-    """
-    k = kernel.kernel_size
-    if target_size % 2 == 0:
-        raise KernelError(f"target kernel size must be odd, got {target_size}")
-    if target_size < k:
-        raise KernelError(f"cannot pad kernel {k} down to {target_size}")
-    margin = (target_size - k) // 2
-    if margin == 0:
-        return kernel
-    weights = np.pad(kernel.weights, ((0, 0), (0, 0), (margin, margin), (margin, margin)))
-    return ConvKernel(
-        weights=weights,
-        bias=kernel.bias.copy(),
-        stride=kernel.stride,
-        padding=kernel.padding + margin,
-        groups=kernel.groups,
-    )
-
-
 def merge_heterogeneous(weights: RepHConvWeights) -> ConvKernel:
     """Collapse a training-form unit into its single deployed conv: a
     bias-carrying depthwise kernel of the main size.
 
-    Each branch is BN-folded first, then zero-padded to the main kernel
-    size, then weights and biases are summed.
+    Each branch is BN-folded first, then added into the centred window of
+    its size in the main-size accumulator, as if zero-padded to it.
     """
     spec = weights.spec
     main_k = spec.main_kernel
     acc_w = np.zeros((spec.channels, 1, main_k, main_k), dtype=np.float32)
     acc_b = np.zeros(spec.channels, dtype=np.float32)
     for kernel, bn in weights.branches:
-        folded = pad_kernel(fuse_conv_bn(kernel, bn), main_k)
-        acc_w += folded.weights
+        folded = fuse_conv_bn(kernel, bn)
+        m = (main_k - kernel.kernel_size) // 2
+        acc_w[:, :, m : main_k - m, m : main_k - m] += folded.weights
         acc_b += folded.bias
     return ConvKernel(
         weights=acc_w,

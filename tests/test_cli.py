@@ -71,16 +71,21 @@ class TestUsageErrors:
             ("fuse", "--seed", "-1"),
             ("fuse", "--trials", "0"),
             ("fuse", "--input", "-64"),
+            ("fuse", "--tol", "-1"),
+            ("fuse", "--tol", "nan"),
             ("verify", "--seed", "-1"),
             ("verify", "--trials", "0"),
+            ("verify", "--tol", "-1"),
+            ("verify", "--tol", "nan"),
             ("bench", "--seed", "-1"),
             ("bench", "--trials", "-3"),
             ("bench", "--input", "0"),
         ],
     )
     def test_out_of_range_number_names_its_flag(self, capsys, tmp_path, command, flag, value):
-        """Counts and sizes must be positive and seeds non-negative; a bad
-        value is a usage error before anything runs or is written."""
+        """Counts and sizes must be positive, seeds and tolerances
+        non-negative (a NaN tolerance too); a bad value is a usage error
+        before anything runs or is written."""
         out = tmp_path / "w.mhwt"
         argv = [command, "lite-nano", flag, value]
         if command in ("init", "fuse"):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from mhaf.config import load_preset
+from mhaf.config import PRESET_NAMES, load_preset
 from mhaf.errors import GraphError, KernelError
 from mhaf.ghfks import (
     KernelPlan,
@@ -12,6 +12,8 @@ from mhaf.ghfks import (
     uniform_plan,
 )
 from mhaf.graph import ModelGraph, assemble
+from mhaf.model import fuse_model
+from mhaf.weights import init_weights
 
 
 def chain_graph():
@@ -85,27 +87,6 @@ class TestReceptiveFieldPrimitives:
         assert (ent["c1"].rf, ent["c1"].stride) == (3, 2)
         assert (ent["c2"].rf, ent["c2"].stride) == (7, 2)
 
-    def test_pool_grows_by_jump_and_doubles_stride(self):
-        g = chain_graph()
-        g.add("p", "pool", ("x",))
-        entry = receptive_field(g)["p"]
-        assert (entry.rf, entry.stride) == (2, 2)
-
-    def test_upsample_keeps_rf_and_halves_stride(self):
-        g = chain_graph()
-        g.add("c", "conv", ("x",), kernel=3, stride=2)
-        g.add("u", "upsample", ("c",))
-        entry = receptive_field(g)["u"]
-        assert (entry.rf, entry.stride) == (3, 1)
-
-    def test_fractional_stride_is_reported_as_float(self):
-        g = chain_graph()
-        g.add("u", "upsample", ("x",))
-        g.add("c", "conv", ("u",), kernel=3, stride=1)
-        entry = receptive_field(g)["c"]
-        assert entry.stride == 0.5
-        assert entry.rf == 2.0
-
     def test_elementwise_kinds_pass_through(self):
         g = chain_graph()
         g.add("c", "conv", ("x",), kernel=5, stride=1)
@@ -113,21 +94,6 @@ class TestReceptiveFieldPrimitives:
         g.add("s", "silu", ("b",))
         ent = receptive_field(g)
         assert ent["s"].rf == ent["c"].rf == 5
-
-    def test_concat_takes_worst_rf(self):
-        g = chain_graph()
-        g.add("c1", "conv", ("x",), kernel=3, stride=1)
-        g.add("c2", "conv", ("x",), kernel=9, stride=1)
-        g.add("cat", "concat", ("c1", "c2"))
-        assert receptive_field(g)["cat"].rf == 9
-
-    def test_concat_of_mismatched_strides_raises(self):
-        g = chain_graph()
-        g.add("c1", "conv", ("x",), kernel=3, stride=2)
-        g.add("c2", "conv", ("x",), kernel=3, stride=1)
-        g.add("cat", "concat", ("c1", "c2"))
-        with pytest.raises(GraphError, match="cat"):
-            receptive_field(g)
 
     def test_multi_stream_block_depth_rule(self):
         # a block node with N streams and M inner blocks applies
@@ -164,6 +130,17 @@ class TestReceptiveFieldFusionRoles:
         entry = receptive_field(g)["fuse"]
         assert (entry.rf, entry.stride) == (rf, 4)
 
+    @pytest.mark.parametrize("kind, role", [("saf", "below"), ("aaf", "above_refined")])
+    def test_role_at_the_wrong_stride_raises(self, kind, role):
+        # both inputs sit at jump 4, but the role expects its input at 2
+        # (below) or 8 (above) to meet the same-level input's jump
+        g = chain_graph()
+        g.add("same", "conv", ("x",), kernel=1, stride=4)
+        g.add("other", "conv", ("x",), kernel=3, stride=4)
+        g.add("fuse", kind, ("same", "other"), roles=("same", role))
+        with pytest.raises(GraphError, match=f"'fuse': {role} input sits at stride 4"):
+            receptive_field(g)
+
     def test_same_role_passes_through(self):
         g = chain_graph()
         g.add("c", "conv", ("x",), kernel=5, stride=2)
@@ -197,6 +174,16 @@ class TestModelReceptiveField:
         entries = receptive_field(assemble(load_preset("nano")))
         for entry in entries.values():
             assert entry.rf >= entry.stride
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_entries_are_ints_in_both_forms(self, name):
+        # every jump is a product of conv strides, so records print no
+        # 2.0-style floats
+        training = assemble(load_preset(name))
+        deployed = fuse_model(training, init_weights(training)).graph
+        for graph in (training, deployed):
+            for entry in receptive_field(graph).values():
+                assert type(entry.rf) is int and type(entry.stride) is int, entry
 
     def test_records_are_flat_dicts(self):
         entry = rf_report(assemble(load_preset("nano")))[0]

@@ -6,6 +6,7 @@ from mhaf.config import PRESET_NAMES, load_preset
 from mhaf.errors import GraphError, ShapeError
 from mhaf.ghfks import uniform_plan
 from mhaf.graph import (
+    KINDS,
     ModelGraph,
     assemble,
     count_params_flops,
@@ -38,9 +39,10 @@ class TestGraphContainer:
         with pytest.raises(GraphError, match="kind"):
             g.add("x", "dense", ())
 
-    @pytest.mark.parametrize("kind", ["split", "add"])
+    @pytest.mark.parametrize("kind", ["split", "add", "pool", "upsample", "concat"])
     def test_removed_kinds_rejected(self, kind):
-        # assembly never emitted these, so they are not node kinds
+        # assembly never emits these (fusion nodes pool, upsample and
+        # concatenate inside), so they are not node kinds
         g = ModelGraph()
         g.add("x", "input", (), channels=3)
         with pytest.raises(GraphError, match="kind"):
@@ -52,6 +54,13 @@ class TestAssembly:
         for name in PRESET_NAMES:
             graph = assemble(load_preset(name))
             assert graph.outputs == ("head.p3", "head.p4", "head.p5")
+
+    def test_every_kind_is_one_assembly_emits(self):
+        # a kind assembly stops emitting goes from KINDS with it
+        emitted = {
+            node.kind for name in PRESET_NAMES for node in assemble(load_preset(name))
+        }
+        assert emitted == KINDS
 
     def test_node_and_edge_counts_are_stable(self):
         g = nano_graph()

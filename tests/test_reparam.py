@@ -14,7 +14,6 @@ from mhaf.reparam import (
     RepHConvWeights,
     fuse_conv_bn,
     merge_heterogeneous,
-    pad_kernel,
     random_rephconv,
     rephconv_forward,
     verify_equivalence,
@@ -88,42 +87,6 @@ class TestFuseConvBN:
         kernel = ConvKernel(weights=np.zeros((4, 2, 3, 3), dtype=np.float32))
         with pytest.raises(Exception, match="channels"):
             fuse_conv_bn(kernel, BNParams.identity(6))
-
-
-class TestPadKernel:
-    def test_weights_centered_with_zero_border(self):
-        rng = np.random.default_rng(5)
-        w = rng.standard_normal((3, 1, 3, 3)).astype(np.float32)
-        padded = pad_kernel(ConvKernel(weights=w, groups=3), 7)
-        assert padded.kernel_size == 7
-        assert np.array_equal(padded.weights[:, :, 2:5, 2:5], w)
-        border = padded.weights.copy()
-        border[:, :, 2:5, 2:5] = 0
-        assert not border.any()
-
-    def test_output_map_is_preserved_exactly(self):
-        """Padding the kernel while growing conv padding by the same margin
-        changes nothing: the extra taps multiply zeros."""
-        rng = np.random.default_rng(6)
-        x = rng.standard_normal((1, 4, 10, 10)).astype(np.float32)
-        kernel = ConvKernel(
-            weights=rng.standard_normal((4, 1, 5, 5)).astype(np.float32) / 5,
-            bias=rng.standard_normal(4).astype(np.float32),
-            groups=4,
-        )
-        for target in (5, 7, 9):
-            got = conv2d_naive(x, pad_kernel(kernel, target))
-            assert np.array_equal(got, conv2d_naive(x, kernel)), f"target {target}"
-
-    def test_padding_down_rejected(self):
-        kernel = ConvKernel(weights=np.zeros((1, 1, 5, 5), dtype=np.float32))
-        with pytest.raises(KernelError):
-            pad_kernel(kernel, 3)
-
-    def test_even_target_rejected(self):
-        kernel = ConvKernel(weights=np.zeros((1, 1, 3, 3), dtype=np.float32))
-        with pytest.raises(KernelError):
-            pad_kernel(kernel, 6)
 
 
 class TestMerge:
