@@ -10,10 +10,12 @@ Conventions
   (kernel-row, kernel-col, input-channel) order, so repeated runs are
   bit-identical.  :func:`conv2d_fast` trades that fixed order for speed
   and has two routes, both BLAS matmuls.  Depthwise kernels cut each
-  output row into equal tiles and multiply each tile's overlapping input
-  rows by one banded (Toeplitz) matrix of the channel's taps that every
-  tile shares; every other conv is one matmul of grouped im2col patch
-  columns.  It is validated against the reference to a relative tolerance.
+  output row into equal tiles, copy each tile's overlapping input rows
+  channel-major (the batch folds into the matmul rows) and multiply them
+  by one banded (Toeplitz) matrix of the channel's taps that every tile
+  shares; taps that can only read padding are cropped first.  Every other
+  conv is one matmul of grouped im2col patch columns.  It is validated
+  against the reference to a relative tolerance.
 * Spatial downsampling by pooling/striding always uses factor 2, matching
   the stage layout of the models built on top of these ops.
 """
@@ -274,23 +276,28 @@ def _depthwise_band(xp: np.ndarray, w: np.ndarray, s: int, oh: int, ow: int) -> 
     Each output row is cut into ``nt`` tiles of ``T`` columns
     (:func:`_tile_width`; the tiles fit the row exactly).  Per channel,
     tile ``t`` of output row ``y`` reads padded rows ``y*s .. y*s+k-1``,
-    columns ``t*T*s`` on, as one vector of length ``k*L``.  One
-    ``(C, k*L, T)`` band per channel serves every tile: it holds tap
-    ``w[c, i, j]`` at ``[i*L + x*s + j, x]`` and zeros elsewhere, so a
-    matmul sums each output's k*k taps.  The band is one copy of a
-    negative-stride view of the taps, zero-padded to ``s*(T-1) + L``
-    columns.  With one tile the rows are a view of ``xp`` (``L = Wp``) and
-    one matmul does the call; with several (stride 1 only, ``L = T+k-1``)
-    they overlap and are copied in channel chunks of at most
-    ``_ROWS_CHUNK_BYTES``, each multiplied into its slice of the output.
-    Nothing is kept between calls.
+    columns ``t*T*s`` on, as one vector of length ``k*L`` with
+    ``L = s*(T-1) + k``.  One ``(C, k*L, T)`` band per channel serves every
+    tile: it holds tap ``w[c, i, j]`` at ``[i*L + x*s + j, x]`` and zeros
+    elsewhere, so a matmul sums each output's k*k taps.  The band is one
+    copy of a negative-stride view of the taps, zero-padded to
+    ``s*(T-1) + L`` columns.
+
+    The tile rows overlap, and numpy hands BLAS no matrix whose row stride
+    is shorter than its rows, so they are always copied: channel-major, in
+    channel chunks of at most ``_ROWS_CHUNK_BYTES``, as contiguous
+    ``(C_chunk, B*oh*nt, k*L)`` blocks.  Each chunk is one matmul with its
+    slice of the band, one GEMM per channel with the batch folded into its
+    rows.  The ``(C, B*oh*nt, T)`` product is NCHW after a reshape at
+    batch 1 and after one transpose copy otherwise.  Nothing is kept
+    between calls.
     """
-    b, c, _, wp = xp.shape
+    b, c = xp.shape[:2]
     k = w.shape[2]
     t = _tile_width(ow, s)
     nt = ow // t
-    span = wp if nt == 1 else t + k - 1
     base = s * (t - 1)
+    span = base + k
     taps = np.zeros((c, k, base + span), dtype=np.float32)
     taps[:, :, base : base + k] = w[:, 0]
     tc, ti, tj = taps.strides
@@ -302,32 +309,38 @@ def _depthwise_band(xp: np.ndarray, w: np.ndarray, s: int, oh: int, ow: int) -> 
     ).reshape(c, k * span, t)
     sb, sc, sh, sw = xp.strides
     rows = as_strided(
-        xp, shape=(b, c, oh, nt, k, span), strides=(sb, sc, sh * s, sw * t, sh, sw),
+        xp, shape=(c, b, oh, nt, k, span), strides=(sc, sb, sh * s, sw * t, sh, sw),
         writeable=False,
     )
-    # one tile's rows reshape to a view of xp; several tiles' rows are copies
-    step = c if nt == 1 else max(1, _ROWS_CHUNK_BYTES // (b * oh * nt * k * span * 4))
-    out = np.empty((b, c, oh, ow), dtype=np.float32)
-    tiles = out.reshape(b, c, oh * nt, t)
+    m = b * oh * nt
+    step = max(1, _ROWS_CHUNK_BYTES // (m * k * span * 4))
+    out = np.empty((c, m, t), dtype=np.float32)
     for c0 in range(0, c, step):
+        # an unnamed copy: one chunk of rows is alive at a time
         np.matmul(
-            rows[:, c0 : c0 + step].reshape(b, -1, oh * nt, k * span),
+            np.ascontiguousarray(rows[c0 : c0 + step]).reshape(-1, m, k * span),
             band[c0 : c0 + step],
-            out=tiles[:, c0 : c0 + step],
+            out=out[c0 : c0 + step],
         )
-    return out
+    # already C-contiguous at batch 1, so only a batch pays the copy
+    return np.ascontiguousarray(out.reshape(c, b, oh, ow).transpose(1, 0, 2, 3))
 
 
 def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """Fast convolution, numerically equivalent to :func:`conv2d_naive` up
     to float32 rounding.
 
-    Two routes, both BLAS matmuls after padding once.  Depthwise kernels
-    (groups == in == out channels) multiply overlapping input tile rows by
-    a banded matrix of the taps (:func:`_depthwise_band`).  Every other conv
-    (pointwise, dense, grouped, channel-multiplier depthwise, any stride or
-    padding) multiplies the grouped weights with im2col patch columns
-    (:func:`_im2col`).
+    Two routes after padding once, each handing BLAS only operands it
+    takes (contiguous, or views with non-overlapping rows).  Depthwise
+    kernels (groups == in == out channels) multiply copied, overlapping
+    input tile rows by a banded matrix of the taps
+    (:func:`_depthwise_band`); at stride 1 with same padding, the outer
+    rings of taps that can only read padding (those more than
+    ``max(H, W) - 1`` off centre) are cropped first, so a 9x9 kernel on a
+    3x3 map runs as 5x5.  Every other conv (pointwise, dense, grouped,
+    channel-multiplier depthwise, any stride or padding) multiplies the
+    grouped weights with im2col patch columns (:func:`_im2col`).  An
+    all-zero bias is not added; the check runs on every call.
 
     For finite inputs the result matches :func:`conv2d_naive` within
     float32 rounding.  For non-finite inputs, every output that
@@ -342,6 +355,11 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     g = kernel.groups
     k, s, p = kernel.kernel_size, kernel.stride, kernel.padding
     w = kernel.weights
+    dw = g == cin == cout
+    if dw and s == 1 and 2 * p == k - 1:
+        # a ring of taps more than max(H, W) - 1 off centre reads only padding
+        crop = max(0, p - max(x.shape[2:]) + 1)
+        w, p = w[:, :, crop : k - crop, crop : k - crop], p - crop
 
     if p:
         # a zeroed buffer with x assigned into it: the same array as np.pad
@@ -350,12 +368,13 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
         xp[:, :, p:-p, p:-p] = x
     else:
         xp = x
-    if g == cin == cout:
+    if dw:
         out = _depthwise_band(xp, w, s, oh, ow)
     else:
         cols = _im2col(xp, g, k, s, oh, ow)
         out = np.matmul(w.reshape(g, cout // g, -1), cols).reshape(b, cout, oh, ow)
-    out += kernel.bias[None, :, None, None]
+    if kernel.bias.any():  # training-form convs carry all-zero biases
+        out += kernel.bias[None, :, None, None]
     return out
 
 

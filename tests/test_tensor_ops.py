@@ -129,7 +129,17 @@ DISPATCH_CASES = [
     (16, 16, 9, 1, 16, (14, 22)),    # depthwise tile (11 columns) narrower than its kernel
     (8, 8, 3, 1, 8, (6, 80)),        # depthwise on a wide map: eight tiles per row
     (32, 32, 3, 1, 32, (40, 40), 2), # tiled depthwise on a channel slice, two chunks
+    (16, 16, 3, 1, 16, (1, 1)),      # depthwise taps cropped to the centre: 1x1
+    (16, 16, 7, 1, 16, (2, 3)),      # depthwise outer ring cropped: 7x7 runs as 5x5
 ]
+
+
+def _blas_able(a: np.ndarray) -> bool:
+    """numpy's rule for handing a (stack of) matrices to BLAS: one of the
+    last two axes has unit stride, and the other's stride is at least that
+    axis's length."""
+    (m, n), (sm, sn), item = a.shape[-2:], a.strides[-2:], a.itemsize
+    return (sn == item and sm >= n * item) or (sm == item and sn >= m * item)
 
 
 def _dispatch_case_id(case):
@@ -153,6 +163,41 @@ class TestConvFast:
         ker = random_kernel(rng, cin, cout, k, stride=s, groups=g)
         err = normalized_max_error(conv2d_fast(x, ker), conv2d_naive(x, ker))
         assert err <= 1e-5
+
+    def test_every_matmul_is_blas_able(self, monkeypatch):
+        """Every matmul the fast routes make takes operands and output that
+        numpy passes to BLAS; an overlapping view would fall back to numpy's
+        own, much slower, matmul loop."""
+        matmul = np.matmul
+        seen = []
+
+        def checked(*args, **kwargs):
+            out = matmul(*args, **kwargs)
+            seen.extend(a.shape for a in (*args, out) if not _blas_able(np.asarray(a)))
+            return out
+
+        monkeypatch.setattr(np, "matmul", checked)
+        rng = np.random.default_rng(305)
+        for case in DISPATCH_CASES:
+            cin, cout, k, s, g, hw, parts = (*case, 1)[:7]
+            x = rng.standard_normal((2, cin * parts, *hw)).astype(np.float32)
+            x = split_channels(x, parts)[-1]
+            conv2d_fast(x, random_kernel(rng, cin, cout, k, stride=s, groups=g))
+            assert not seen, f"{_dispatch_case_id(case)}: not BLAS-able {seen}"
+
+    @pytest.mark.parametrize("width", [13, 24])
+    def test_depthwise_batch_images_independent(self, width):
+        """Folding the batch into the depthwise matmul rows mixes no images:
+        changing image 0 leaves images 1-2 bit-identical.  Width 13 is one
+        tile per row, width 24 two."""
+        rng = np.random.default_rng(306)
+        ker = random_kernel(rng, 8, 8, 5, groups=8)
+        x = rng.standard_normal((3, 8, 7, width)).astype(np.float32)
+        before = conv2d_fast(x, ker)
+        x[0] = rng.standard_normal(x.shape[1:]).astype(np.float32)
+        after = conv2d_fast(x, ker)
+        assert np.array_equal(after[1:], before[1:])
+        assert not np.array_equal(after[0], before[0])
 
     def test_random_config_sweep(self):
         """Forty random shape/kernel configurations stay within tolerance of
