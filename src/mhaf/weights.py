@@ -3,9 +3,10 @@ the structured forms the block functions consume, and a checksummed binary
 container.
 
 Entry names belong to :mod:`mhaf.graph`: binding reads the entries that
-``slot_entries`` and ``node_param_entries`` list for a slot or node and
-picks each array by its entry kind (``conv_weight``, ``conv_bias``,
-``bn_*``), so this module spells no entry name of its own.
+``slot_entries`` lists for each slot ``node_slots`` gives a node, and picks
+each array by its entry kind (``conv_weight``, ``conv_bias``, ``bn_*``), so
+this module spells no entry name of its own.  Every node binds the same
+way, to a {slot path: unit} dict.
 
 Container layout (all integers little-endian):
 
@@ -26,8 +27,8 @@ lane CRCs are joined by GF(2) "append zero bytes" maps, as zlib's
 ``crc32_combine`` does.  A narrower level takes the words past the last
 whole row, and a scalar slice-by-8 loop the last few KiB at most.  The
 result is the plain CRC-64/XZ, so the format is unchanged.  Loading
-verifies it, then copies each entry once into its own aligned, writable
-float32 array.
+checks the version first, then verifies the checksum, then copies each
+entry once into its own aligned, writable float32 array.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .graph import (
     Node,
     ParamEntry,
     graph_param_entries,
-    node_param_entries,
     node_slots,
     slot_entries,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "init_weights",
     "validate_store",
     "bind_slot",
-    "bind_slots",
     "bind_node_weights",
     "save_weights",
     "load_weights",
@@ -177,11 +176,10 @@ def validate_store(graph: ModelGraph, store: WeightStore) -> None:
 
 def _by_kind(store: WeightStore, entries: list[ParamEntry]) -> list[dict]:
     """The listed arrays as one {entry kind: array} dict per conv; each
-    ``conv_weight`` opens the next dict, and a list without one (a ``bn``
-    node's) is a single dict."""
+    ``conv_weight`` opens the next dict."""
     convs: list[dict] = []
     for entry in entries:
-        if entry.kind == "conv_weight" or not convs:
+        if entry.kind == "conv_weight":
             convs.append({})
         convs[-1][entry.kind] = store[entry.name]
     return convs
@@ -204,8 +202,8 @@ def _bn(arrays: dict) -> BNParams | None:
 
 
 def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, form: str):
-    """Materialize one weighted slot of a composite node, in the given form,
-    from the entries :func:`mhaf.graph.slot_entries` lists for it.  A
+    """Materialize one weighted slot of a node, in the given form, from
+    the entries :func:`mhaf.graph.slot_entries` lists for it.  A
     conv-unit slot binds as a ConvUnit (stride, groups and activation from
     the slot).  A mixer slot binds as RepHConvWeights in training form and,
     deployed, as the unit :func:`mhaf.blocks.fold_slot` gives it: one
@@ -223,26 +221,14 @@ def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, f
     return ConvUnit(kernel=kernel, bn=_bn(arrays), act=slot.act)
 
 
-def bind_slots(node: Node, store: WeightStore, form: str) -> dict:
-    """{slot path: :func:`bind_slot` result} for every weighted slot of a
-    composite node, in slot order (empty for primitive kinds)."""
+def bind_node_weights(node: Node, store: WeightStore, form: str) -> dict:
+    """{slot path: :func:`bind_slot` result} for every weighted slot
+    :func:`mhaf.graph.node_slots` gives a node, in slot order (empty for
+    weightless kinds)."""
     return {
         slot.path: bind_slot(store, prefix, slot, form)
         for prefix, slot in node_slots(node).items()
     }
-
-
-def bind_node_weights(node: Node, store: WeightStore, form: str):
-    """Materialize the structured weights of one graph node from the
-    entries :func:`mhaf.graph.node_param_entries` lists for it.  Returns a
-    ConvKernel (stride and groups from the node's attrs), BNParams, or the
-    :func:`bind_slots` dict of any other kind (empty for weightless ones)."""
-    if node.kind in ("conv", "bn"):
-        (arrays,) = _by_kind(store, node_param_entries(node, form))
-        if node.kind == "bn":
-            return _bn(arrays)
-        return _kernel(arrays, node.attrs["stride"], node.attrs["groups"])
-    return bind_slots(node, store, form)
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +429,26 @@ def _decode_meta(arr: np.ndarray, store: WeightStore) -> None:
             store.spec_digest = None if value == "none" else value
 
 
-def _pack_entry(buf: bytearray, name: str, arr: np.ndarray) -> None:
+def _entry_parts(name: str, arr: np.ndarray) -> tuple:
+    """An entry's packed header and its little-endian float32 payload, the
+    array itself wherever it already is one (no copy)."""
     encoded = name.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise WeightFileError(f"entry name too long: {name[:40]}...")
-    buf += struct.pack("<H", len(encoded))
-    buf += encoded
     if arr.ndim > 0xFF:
         raise WeightFileError(f"entry rank {arr.ndim} exceeds format limit")
-    buf += struct.pack("<B", arr.ndim)
-    buf += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    buf += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    header = struct.pack(
+        f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape
+    )
+    return header, np.ascontiguousarray(arr, dtype="<f4")
 
 
 def save_weights(store: WeightStore, path: str) -> None:
     """Write the store to the binary container (metadata entry first, then
     data entries in insertion order, then the checksum).  Every entry must
     be a C-contiguous float32 array, as :func:`validate_store` requires; any
-    other raises a ShapeError naming it before a byte is written.
+    other raises a ShapeError naming it before a byte is written.  Headers
+    and payloads are joined once, so each payload is copied once.
 
     The bytes go to a temporary file beside ``path`` that ``os.replace``
     then moves over it, so an existing file at ``path`` is either left
@@ -470,22 +458,21 @@ def save_weights(store: WeightStore, path: str) -> None:
         raise WeightFileError(
             f"entry name '{META_ENTRY}' is reserved for the store's metadata"
         )
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
-    buf += struct.pack("<I", len(store.entries) + 1)
-    _pack_entry(buf, META_ENTRY, _encode_meta(store))
+    parts = [struct.pack("<4sII", MAGIC, VERSION, len(store.entries) + 1)]
+    parts += _entry_parts(META_ENTRY, _encode_meta(store))
     for name, arr in store.entries.items():
         _check_entry(name, arr)
-        _pack_entry(buf, name, arr)
-    buf += struct.pack("<Q", crc64_xz(buf))
+        parts += _entry_parts(name, arr)
+    body = b"".join(parts)
+    trailer = struct.pack("<Q", crc64_xz(body))
     # a named temp file rather than tempfile.mkstemp, whose 0600 mode would
     # survive the rename; open() keeps the usual umask-derived permissions
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(buf)
+            fh.write(body)
+            fh.write(trailer)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -494,7 +481,9 @@ def save_weights(store: WeightStore, path: str) -> None:
 
 
 def load_weights(path: str) -> WeightStore:
-    """Read a container, verifying the checksum before trusting any entry.
+    """Read a container: its version from the fixed header first, since the
+    version decides the checksum, then the checksum, before trusting any
+    entry.
 
     Each entry is copied once out of the file's bytes, so the loaded arrays
     are aligned, writable and independent of one another.
@@ -505,6 +494,9 @@ def load_weights(path: str) -> WeightStore:
         raise WeightFileError(f"'{path}' is too short to be a weight file")
     if raw[:4] != MAGIC:
         raise WeightFileError(f"'{path}' lacks the weight-file magic")
+    (version,) = struct.unpack_from("<I", raw, 4)
+    if version != VERSION:
+        raise WeightFileError(f"unsupported weight-file version {version}")
     body = memoryview(raw)[:-8]
     (stated,) = struct.unpack_from("<Q", raw, len(body))
     actual = crc64_xz(body)
@@ -513,9 +505,6 @@ def load_weights(path: str) -> WeightStore:
             f"checksum mismatch in '{path}': stored {stated:016x}, "
             f"computed {actual:016x}"
         )
-    (version,) = struct.unpack_from("<I", body, 4)
-    if version != VERSION:
-        raise WeightFileError(f"unsupported weight-file version {version}")
     (count,) = struct.unpack_from("<I", body, 8)
     offset = 12
     store = WeightStore(entries={})

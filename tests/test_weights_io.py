@@ -2,16 +2,19 @@
 
 import copy
 import dataclasses
+import hashlib
+import json
 import os
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from mhaf.config import load_preset
 from mhaf.errors import ShapeError, StateError, WeightFileError
-from mhaf.graph import assemble, node_param_entries
+from mhaf.graph import assemble, graph_param_entries, node_param_entries
 from mhaf.model import fuse_model
 from mhaf.tensor import BNParams, ConvKernel
 from mhaf.weights import (
@@ -70,8 +73,13 @@ def reached_arrays(bound):
                 yield from reached_arrays(value)
 
 
-def craft_file(path, entries, version=1, count=None, pad=b""):
-    """Write a container byte-by-byte, independent of the library's writer."""
+def crc64_trailer(body):
+    return struct.pack("<Q", crc64_bitwise(body))
+
+
+def craft_file(path, entries, version=1, count=None, pad=b"", trailer=crc64_trailer):
+    """Write a container byte-by-byte, independent of the library's writer;
+    ``trailer`` makes the checksum bytes from the bytes before them."""
     body = bytearray(b"MHWT")
     body += struct.pack("<I", version)
     body += struct.pack("<I", len(entries) if count is None else count)
@@ -84,7 +92,7 @@ def craft_file(path, entries, version=1, count=None, pad=b""):
         body += struct.pack(f"<{arr.ndim}I", *arr.shape)
         body += arr.tobytes()
     body += pad
-    body += struct.pack("<Q", crc64_bitwise(bytes(body)))
+    body += trailer(bytes(body))
     path.write_bytes(bytes(body))
 
 
@@ -276,6 +284,29 @@ class TestBindingIdentity:
             assert seen == set(listed), node.name
 
 
+def entry_list_digest(graph):
+    """sha256 of the graph's entry list, as JSON ``[[name, shape, kind], ...]``
+    in store order."""
+    listed = [(e.name, list(e.shape), e.kind) for e in graph_param_entries(graph)]
+    return len(listed), hashlib.sha256(json.dumps(listed).encode()).hexdigest()
+
+
+class TestEntryLists:
+    # nano's entry lists, pinned when the stem and downsample convs became
+    # unit nodes: a change to node kinds or slot naming must keep every
+    # existing weight file's names, shapes, kinds and order
+    PINNED = {
+        "training": (445, "83874415f8ab9d7767544d5e7a870d1cad21a65b539842caafeffd4fee04de9c"),
+        "deployed": (142, "763cd3e4cf8ce7999c891b4534c81685ef43be19d3ba93b476f741e66bdc4940"),
+    }
+
+    def test_nano_entry_lists_are_pinned(self):
+        graph = assemble(load_preset("nano"))
+        deployed = fuse_model(graph, init_weights(graph, seed=0)).graph
+        assert entry_list_digest(graph) == self.PINNED["training"]
+        assert entry_list_digest(deployed) == self.PINNED["deployed"]
+
+
 class TestRoundTrip:
     def test_entries_survive_exactly(self, tmp_path):
         store = small_store()
@@ -437,6 +468,17 @@ class TestFormatContract:
         path = tmp_path / "v9.mhwt"
         craft_file(path, [("w", [1.0])], version=9)
         with pytest.raises(WeightFileError, match="version 9"):
+            load_weights(path)
+
+    def test_version_is_read_before_the_checksum(self, tmp_path):
+        # a version-2 file ends in a 4-byte CRC-32, not in this version's
+        # CRC-64: the version decides the checksum, so it is named first
+        path = tmp_path / "v2.mhwt"
+        craft_file(
+            path, [("w", [1.0, 2.0])], version=2,
+            trailer=lambda body: struct.pack("<I", zlib.crc32(body)),
+        )
+        with pytest.raises(WeightFileError, match="unsupported weight-file version 2"):
             load_weights(path)
 
     def test_undeclared_trailing_entry_rejected(self, tmp_path):
