@@ -42,7 +42,7 @@ with tempfile.TemporaryDirectory() as tmp:
 
 # fold batchnorm everywhere
 outcome = fuse_model(graph, store)
-print(f"\nfusion folded {outcome.bn_folded} batchnorms into conv weights and "
+print(f"\nfusion removed {outcome.bn_nodes_removed} standalone BN nodes and "
       f"shrank the store from {outcome.params_before:,} to "
       f"{outcome.params_after:,} floats")
 

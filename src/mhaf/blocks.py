@@ -3,9 +3,9 @@ the multi-stream aggregation module built from it, and the two
 cross-resolution fusion nodes used by the neck.
 
 Everything here is a pure function over explicit weights; there is no
-hidden module state.  A graph's ``unit`` node is one ConvUnit, and every
-composite node takes its weights as one {slot path: unit} dict keyed by
-its layout (``rephms_layout``, ``saf_layout``, ``aaf_layout``).  In training form a slot is a ConvUnit with
+hidden module state.  Every composite node takes its weights as one
+{slot path: unit} dict keyed by its layout (``rephms_layout``,
+``saf_layout``, ``aaf_layout``).  In training form a slot is a ConvUnit with
 batch norm, or a multi-branch mixer (``RepHConvWeights``); in deployed form
 every slot is a BN-free ConvUnit, a merged mixer being one unactivated
 depthwise conv.  :func:`fold_slot` is the one mapping from the first form
@@ -84,12 +84,8 @@ class ConvUnit:
             )
 
 
-def conv_unit_forward(x: np.ndarray, unit: ConvUnit, conv=None) -> np.ndarray:
-    """Conv, then BN when the unit carries one, then SiLU when activated.
-    ``conv`` replaces :func:`conv2d_fast` for this one call; without it the
-    name is looked up when the unit runs, so a rebinding of this module's
-    ``conv2d_fast`` reaches every unit."""
-    y = (conv or conv2d_fast)(x, unit.kernel)
+def conv_unit_forward(x: np.ndarray, unit: ConvUnit) -> np.ndarray:
+    y = conv2d_fast(x, unit.kernel)
     if unit.bn is not None:
         y = batchnorm_infer(y, unit.bn)
     return silu(y) if unit.act else y

@@ -260,7 +260,7 @@ def _cmd_fuse(args) -> int:
         save_weights(outcome.store, args.out)
     if args.format == "records":
         text = format_records([{
-            "type": "fusion", "bn_folded": outcome.bn_folded,
+            "type": "fusion", "bn_nodes_removed": outcome.bn_nodes_removed,
             "floats_before": outcome.params_before,
             "floats_after": outcome.params_after,
             "trials": args.trials, "input_size": args.input,
@@ -269,7 +269,7 @@ def _cmd_fuse(args) -> int:
         }])
     else:
         lines = [
-            f"folded {outcome.bn_folded} batchnorms into conv weights",
+            f"folded {outcome.bn_nodes_removed} normalization nodes into conv weights",
             f"weight floats: {outcome.params_before:,} -> {outcome.params_after:,}",
             f"max deviation over {args.trials} inputs at {args.input}x{args.input}: "
             f"{deviation:.2e} (tolerance {args.tol:.0e})",

@@ -9,11 +9,10 @@ P3..P5 on both fusion pathways.
 The receptive-field analyzer walks a model graph and propagates, per node,
 the classic (rf, jump) pair: ``rf`` is the input-pixel extent one output
 element can see, ``jump`` the effective stride between neighbouring output
-elements.  A conv unit with kernel k at jump j grows rf by (k-1)*j and
+elements.  A conv with kernel k at jump j grows rf by (k-1)*j and
 multiplies j by its stride, so every jump is an integer product of conv
-strides; a head passes its input's pair through.  A fusion node takes the
-worst (largest) rf over its input paths, each grown by its role's op, and
-sits at its same-level input's jump.
+strides.  A fusion node takes the worst (largest) rf over its input paths,
+each grown by its role's op, and sits at its same-level input's jump.
 """
 
 from __future__ import annotations
@@ -149,10 +148,10 @@ def receptive_field(graph) -> dict[str, RFEntry]:
         kind = node.kind
         if kind == "input":
             rf, jump = 1, 1
-        elif kind == "unit":
+        elif kind == "conv":
             rf = ins[0].rf + (node.attrs["kernel"] - 1) * ins[0].stride
             jump = ins[0].stride * node.attrs.get("stride", 1)
-        elif kind == "head":
+        elif kind in ("bn", "silu", "head"):
             rf, jump = ins[0].rf, ins[0].stride
         elif kind == "rephms":
             depth = (node.attrs["streams"] - 1) * node.attrs["blocks"]

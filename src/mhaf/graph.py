@@ -2,13 +2,12 @@
 parameter/FLOP bookkeeping, structural validation, and export.
 
 A graph is an ordered set of typed nodes (insertion order is topological by
-construction).  Every weighted node is a set of slots (``node_slots``): a
-``unit`` node, the stem's and each downsample's conv+BN+SiLU, is its one
-:class:`~mhaf.blocks.ConvUnitSpec` slot, and a composite kind (rephms, saf,
-aaf) holds the slots its layout helper in :mod:`mhaf.blocks` enumerates for
-an aggregation module or a fusion node.  Pooling, upsampling and
-concatenation run only inside the fusion nodes.  Weight entries are named
-only here (``node_param_entries``, ``slot_entries``); initialization,
+construction).  Primitive kinds (conv, bn, silu) carry their own
+semantics; composite kinds (rephms, saf, aaf) encapsulate an aggregation
+module or a fusion node, whose internal weighted slots are enumerated by the
+layout helpers in :mod:`mhaf.blocks`.  Pooling, upsampling and
+concatenation run only inside the fusion nodes.  Weight entries are
+named only here (``node_param_entries``, ``slot_entries``); initialization,
 binding, fusion and bookkeeping read those lists.  The fusion kinds' input
 roles (``attrs["roles"]``, one per input) come from
 :data:`mhaf.blocks.FUSION_ROLES`, the one place their resolutions and ops
@@ -58,7 +57,9 @@ __all__ = [
 KINDS = frozenset(
     {
         "input",
-        "unit",
+        "conv",
+        "bn",
+        "silu",
         "rephms",
         "saf",
         "aaf",
@@ -151,6 +152,16 @@ def rephms_spec(node: Node) -> RepHMSSpec:
     )
 
 
+def _add_conv_bn_act(graph, base, src, in_ch, out_ch, kernel, stride):
+    graph.add(
+        f"{base}.conv", "conv", (src,),
+        in_ch=in_ch, out_ch=out_ch, kernel=kernel, stride=stride, groups=1, bias=False,
+    )
+    graph.add(f"{base}.bn", "bn", (f"{base}.conv",), channels=out_ch)
+    graph.add(f"{base}.act", "silu", (f"{base}.bn",))
+    return f"{base}.act"
+
+
 def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
     """Build the training-form detection backbone+neck graph.
 
@@ -182,14 +193,9 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
 
     graph.add("images", "input", channels=3, divisor=32)
 
-    def add_down(name, src, in_ch, out_ch):
-        # a 3x3/stride-2 conv+BN+SiLU
-        graph.add(name, "unit", (src,), in_ch=in_ch, out_ch=out_ch, kernel=3, stride=2)
-        return name
-
     stem_ch = max(8, cs[0] // 2)
-    prev = add_down("stem.1", "images", 3, stem_ch)
-    prev = add_down("stem.2", prev, stem_ch, cs[0])
+    prev = _add_conv_bn_act(graph, "stem.1", "images", 3, stem_ch, 3, 2)
+    prev = _add_conv_bn_act(graph, "stem.2", prev, stem_ch, cs[0], 3, 2)
 
     def add_rephms(name, src, in_ch, out_ch, streams, blocks, kernel):
         graph.add(
@@ -202,7 +208,9 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
 
     for i, level in enumerate(BACKBONE_LEVELS):
         if level != "p2":
-            prev = add_down(f"backbone.{level}.down", prev, cs[i - 1], cs[i])
+            prev = _add_conv_bn_act(
+                graph, f"backbone.{level}.down", prev, cs[i - 1], cs[i], 3, 2
+            )
         prev = add_rephms(
             f"backbone.{level}", prev, cs[i], cs[i],
             spec.backbone_streams, spec.scaled_backbone_blocks,
@@ -346,7 +354,7 @@ def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int,
         if kind == "input":
             check_input_size(node, hw)
             shape = (node.attrs.get("channels", 3), hw[0], hw[1])
-        elif kind == "unit":
+        elif kind == "conv":
             c, h, wd = ins[0]
             a = node.attrs
             if c != a["in_ch"]:
@@ -359,14 +367,20 @@ def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int,
                 conv_output_size(h, a["kernel"], a["stride"], pad),
                 conv_output_size(wd, a["kernel"], a["stride"], pad),
             )
-        elif kind == "head":
+        elif kind in ("bn", "silu", "head"):
             shape = ins[0]
-            want = node.attrs.get("stride")
-            got = hw[0] // shape[1]
-            if want is not None and got != want:
-                raise GraphError(
-                    f"head '{node.name}' sits at stride {got}, expected {want}"
+            if kind == "bn" and shape[0] != node.attrs["channels"]:
+                raise ShapeError(
+                    f"node '{node.name}' normalizes {node.attrs['channels']} "
+                    f"channels but receives {shape[0]}"
                 )
+            if kind == "head":
+                want = node.attrs.get("stride")
+                got = hw[0] // shape[1]
+                if want is not None and got != want:
+                    raise GraphError(
+                        f"head '{node.name}' sits at stride {got}, expected {want}"
+                    )
         elif kind == "rephms":
             c, h, wd = ins[0]
             if c != node.attrs["in_ch"]:
@@ -444,36 +458,38 @@ def _mixer_entries(prefix: str, mixer: MixerSpec, form: str) -> list[ParamEntry]
 
 
 def node_slots(node: Node) -> dict[str, ConvUnitSpec | MixerSpec]:
-    """{entry prefix: slot} for every weighted slot of a node, in slot
-    order: a ``unit`` node's one slot under the node's own name, and each
-    slot of a composite node under ``node.slot-path`` (empty for weightless
-    kinds)."""
-    a = node.attrs
-    if node.kind == "unit":
-        slot = ConvUnitSpec("unit", a["in_ch"], a["out_ch"], a["kernel"], a["stride"])
-        return {node.name: slot}
+    """{entry prefix ``node.slot-path``: slot} for every weighted slot
+    inside a composite node, in slot order (empty for primitives)."""
     if node.kind == "rephms":
         slots = rephms_layout(rephms_spec(node))
     elif node.kind == "saf":
-        slots = saf_layout(a["same_ch"], a["above_ch"])
+        slots = saf_layout(node.attrs["same_ch"], node.attrs["above_ch"])
     elif node.kind == "aaf":
-        slots = aaf_layout(a["width"], a["roles"])
+        slots = aaf_layout(node.attrs["width"], node.attrs["roles"])
     else:
         slots = []
     return {f"{node.name}.{slot.path}": slot for slot in slots}
 
 
 def slot_entries(prefix: str, slot: ConvUnitSpec | MixerSpec, form: str) -> list[ParamEntry]:
-    """The entries of one weighted slot, named ``prefix.*``, in the given
-    form."""
+    """The entries of one weighted slot of a composite node, named
+    ``prefix.*``, in the given form."""
     if isinstance(slot, MixerSpec):
         return _mixer_entries(prefix, slot, form)
     return _unit_entries(prefix, slot, form)
 
 
 def node_param_entries(node: Node, form: str) -> list[ParamEntry]:
-    """Every weight-store entry a node contributes, slot by slot, in
-    deterministic order."""
+    """Every weight-store entry a node contributes, in deterministic order."""
+    if node.kind == "conv":
+        a = node.attrs
+        wshape = (a["out_ch"], a["in_ch"] // a["groups"], a["kernel"], a["kernel"])
+        entries = [ParamEntry(f"{node.name}.weight", wshape, "conv_weight")]
+        if a.get("bias"):
+            entries.append(ParamEntry(f"{node.name}.bias", (a["out_ch"],), "conv_bias"))
+        return entries
+    if node.kind == "bn":
+        return _bn_entries(node.name, node.attrs["channels"])
     return [
         entry
         for prefix, slot in node_slots(node).items()
@@ -539,12 +555,14 @@ def count_params_flops(graph: ModelGraph, input_size=None) -> Bookkeeping:
 
 def _node_label(node: Node) -> str:
     a = node.attrs
-    if node.kind == "unit":
+    if node.kind == "conv":
         detail = f" {a['kernel']}x{a['kernel']}/{a['stride']} {a['in_ch']}->{a['out_ch']}"
     elif node.kind == "rephms":
         detail = f" k{a['kernel']} n{a['streams']} m{a['blocks']} {a['in_ch']}->{a['out_ch']}"
     elif node.kind in FUSION_ROLES:
         detail = f" x{len(node.inputs)} ->{a['out_ch']}"
+    elif node.kind == "bn":
+        detail = f" c{a['channels']}"
     elif node.kind == "head":
         detail = f" /{a['stride']}"
     else:

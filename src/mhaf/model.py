@@ -1,9 +1,5 @@
 """Running and transforming assembled models: forward evaluation, the
 training-to-deployed fusion pass, and simple latency benchmarks.
-
-Every node binds to the same {slot path: unit} dict
-(:func:`mhaf.weights.bind_node_weights`), so fusion has one rule for every
-kind: each slot goes through :func:`mhaf.blocks.fold_slot`.
 """
 
 from __future__ import annotations
@@ -15,28 +11,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import (
-    FUSION_ROLES,
-    aaf_fuse,
-    conv_unit_forward,
-    fold_slot,
-    rephms_forward,
-    saf_fuse,
-)
+from .blocks import FUSION_ROLES, aaf_fuse, fold_slot, rephms_forward, saf_fuse
 from .errors import NumericError, ShapeError, StateError
 from .graph import ModelGraph, Node, check_input_size, node_param_entries, rephms_spec
-from .reparam import RepHConvWeights
-from .tensor import check_tensor4, conv2d_fast, conv2d_naive
-from .weights import WeightStore, bind_node_weights, validate_store
+from .reparam import fuse_conv_bn
+from .tensor import batchnorm_infer, check_tensor4, conv2d_fast, conv2d_naive, silu
+from .weights import WeightStore, bind_node_weights, bind_slots, validate_store
 
 __all__ = ["forward", "fuse_model", "FusionOutcome", "benchmark_forward", "BenchResult"]
 
 
-def _eval_node(node: Node, ins: list[np.ndarray], bound: dict, conv) -> np.ndarray:
+def _eval_node(node: Node, ins: list[np.ndarray], bound, conv_fn) -> np.ndarray:
     kind = node.kind
-    if kind == "unit":
-        (unit,) = bound.values()
-        return conv_unit_forward(ins[0], unit, conv)
+    if kind == "conv":
+        return conv_fn(ins[0], bound)
+    if kind == "bn":
+        return batchnorm_infer(ins[0], bound)
+    if kind == "silu":
+        return silu(ins[0])
     if kind == "rephms":
         return rephms_forward(ins[0], rephms_spec(node), bound)
     if kind in FUSION_ROLES:
@@ -121,7 +113,7 @@ def forward(
     are unchanged; any other call prepares afresh.  Writing into an entry
     array in place needs no new plan: bound weights are the store's arrays.
 
-    ``use_naive_conv`` runs the convs of the graph's ``unit`` nodes through
+    ``use_naive_conv`` runs the graph's own ``conv`` nodes through
     :func:`conv2d_naive`; convolutions inside composite nodes (``rephms``,
     ``saf``, ``aaf``) always take :func:`conv2d_fast`.
     """
@@ -129,7 +121,7 @@ def forward(
     plan = store._plan
     if plan is None or not plan.fits(graph, store):
         plan = store._plan = _Plan(graph, store)
-    conv = conv2d_naive if use_naive_conv else conv2d_fast
+    conv_fn = conv2d_naive if use_naive_conv else conv2d_fast
 
     for node in plan.inputs:
         if x.shape[1] != node.attrs.get("channels", 3):
@@ -146,7 +138,7 @@ def forward(
         if node.kind == "input":
             out = x
         else:
-            out = _eval_node(node, [values[i] for i in node.inputs], bound, conv)
+            out = _eval_node(node, [values[i] for i in node.inputs], bound, conv_fn)
             if not np.all(np.isfinite(out)):
                 raise NumericError(
                     f"node '{node.name}' produced non-finite values"
@@ -159,11 +151,11 @@ def forward(
 
 @dataclass(eq=False)
 class FusionOutcome:
-    """Fused graph and store plus accounting of what was folded."""
+    """Fused graph and store plus accounting of what was removed."""
 
     graph: ModelGraph
     store: WeightStore
-    bn_folded: int
+    bn_nodes_removed: int
     params_before: int
     params_after: int
 
@@ -171,33 +163,61 @@ class FusionOutcome:
 def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
     """Convert a training-form model to deployed form.
 
-    Every node keeps its name, kind, inputs and attrs, and each of its
-    weighted slots folds into one kernel through :func:`fold_slot` (a
-    unit's BN into its conv, a mixer's branches merged).  Deployed entry
-    names come from the fused node's own entry list.  ``bn_folded`` counts
-    the batchnorms folded, one per unit and one per mixer branch.  The
-    computed function is preserved up to float rounding.
+    Standalone conv+BN node pairs collapse into bias-carrying convs (the BN
+    node disappears from the graph); composite nodes keep their place and
+    each weighted slot folds into one kernel (a unit's BN into its conv, a
+    mixer's branches merged).  Deployed entry names come from the fused
+    node's own entry list.  The computed function is preserved up to float
+    rounding.
     """
     if graph.form != "training":
         raise StateError("model is already in deployed form")
     validate_store(graph, store)
 
+    # which bn nodes follow which conv nodes
+    bn_after_conv: dict[str, str] = {}
+    for node in graph:
+        if node.kind == "bn":
+            (src,) = node.inputs
+            if graph.node(src).kind == "conv":
+                bn_after_conv[node.name] = src
+            else:
+                raise StateError(
+                    f"bn node '{node.name}' does not follow a conv; cannot fuse"
+                )
+
+    conv_to_bn = {conv: bn for bn, conv in bn_after_conv.items()}
+
     fused_graph = ModelGraph(form="deployed", meta=dict(graph.meta))
     fused_store = WeightStore(
         entries={}, form="deployed", seed=store.seed, spec_digest=store.spec_digest
     )
+
     params_before = sum(arr.size for arr in store.entries.values())
-    bn_folded = 0
 
     for node in graph:
-        fused = fused_graph.add(node.name, node.kind, node.inputs, **node.attrs)
-        # each slot's folded weight and bias fill the fused node's next two
-        # entries
-        arrays = []
-        for unit in bind_node_weights(node, store, "training").values():
-            bn_folded += len(unit.branches) if isinstance(unit, RepHConvWeights) else 1
-            kernel = fold_slot(unit).kernel
-            arrays += (kernel.weights, kernel.bias)
+        if node.kind == "bn":
+            continue
+        attrs = dict(node.attrs)
+        if node.kind == "conv":
+            if node.name not in conv_to_bn:
+                raise StateError(
+                    f"conv node '{node.name}' has no trailing bn to fold"
+                )
+            attrs["bias"] = True
+            bn = graph.node(conv_to_bn[node.name])
+            kernels = [
+                fuse_conv_bn(
+                    bind_node_weights(node, store, "training"),
+                    bind_node_weights(bn, store, "training"),
+                )
+            ]
+        else:
+            kernels = [fold_slot(u).kernel for u in bind_slots(node, store, "training").values()]
+        inputs = tuple(bn_after_conv.get(i, i) for i in node.inputs)
+        fused = fused_graph.add(node.name, node.kind, inputs, **attrs)
+        # each kernel's weight and bias fill the fused node's next two entries
+        arrays = [a for k in kernels for a in (k.weights, k.bias)]
         for entry, arr in zip(node_param_entries(fused, "deployed"), arrays, strict=True):
             fused_store.entries[entry.name] = arr
 
@@ -207,7 +227,7 @@ def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
     return FusionOutcome(
         graph=fused_graph,
         store=fused_store,
-        bn_folded=bn_folded,
+        bn_nodes_removed=len(bn_after_conv),
         params_before=params_before,
         params_after=params_after,
     )

@@ -3,10 +3,9 @@ the structured forms the block functions consume, and a checksummed binary
 container.
 
 Entry names belong to :mod:`mhaf.graph`: binding reads the entries that
-``slot_entries`` lists for each slot ``node_slots`` gives a node, and picks
-each array by its entry kind (``conv_weight``, ``conv_bias``, ``bn_*``), so
-this module spells no entry name of its own.  Every node binds the same
-way, to a {slot path: unit} dict.
+``slot_entries`` and ``node_param_entries`` list for a slot or node and
+picks each array by its entry kind (``conv_weight``, ``conv_bias``,
+``bn_*``), so this module spells no entry name of its own.
 
 Container layout (all integers little-endian):
 
@@ -49,6 +48,7 @@ from .graph import (
     Node,
     ParamEntry,
     graph_param_entries,
+    node_param_entries,
     node_slots,
     slot_entries,
 )
@@ -60,6 +60,7 @@ __all__ = [
     "init_weights",
     "validate_store",
     "bind_slot",
+    "bind_slots",
     "bind_node_weights",
     "save_weights",
     "load_weights",
@@ -176,10 +177,11 @@ def validate_store(graph: ModelGraph, store: WeightStore) -> None:
 
 def _by_kind(store: WeightStore, entries: list[ParamEntry]) -> list[dict]:
     """The listed arrays as one {entry kind: array} dict per conv; each
-    ``conv_weight`` opens the next dict."""
+    ``conv_weight`` opens the next dict, and a list without one (a ``bn``
+    node's) is a single dict."""
     convs: list[dict] = []
     for entry in entries:
-        if entry.kind == "conv_weight":
+        if entry.kind == "conv_weight" or not convs:
             convs.append({})
         convs[-1][entry.kind] = store[entry.name]
     return convs
@@ -202,8 +204,8 @@ def _bn(arrays: dict) -> BNParams | None:
 
 
 def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, form: str):
-    """Materialize one weighted slot of a node, in the given form, from
-    the entries :func:`mhaf.graph.slot_entries` lists for it.  A
+    """Materialize one weighted slot of a composite node, in the given form,
+    from the entries :func:`mhaf.graph.slot_entries` lists for it.  A
     conv-unit slot binds as a ConvUnit (stride, groups and activation from
     the slot).  A mixer slot binds as RepHConvWeights in training form and,
     deployed, as the unit :func:`mhaf.blocks.fold_slot` gives it: one
@@ -221,14 +223,26 @@ def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, f
     return ConvUnit(kernel=kernel, bn=_bn(arrays), act=slot.act)
 
 
-def bind_node_weights(node: Node, store: WeightStore, form: str) -> dict:
-    """{slot path: :func:`bind_slot` result} for every weighted slot
-    :func:`mhaf.graph.node_slots` gives a node, in slot order (empty for
-    weightless kinds)."""
+def bind_slots(node: Node, store: WeightStore, form: str) -> dict:
+    """{slot path: :func:`bind_slot` result} for every weighted slot of a
+    composite node, in slot order (empty for primitive kinds)."""
     return {
         slot.path: bind_slot(store, prefix, slot, form)
         for prefix, slot in node_slots(node).items()
     }
+
+
+def bind_node_weights(node: Node, store: WeightStore, form: str):
+    """Materialize the structured weights of one graph node from the
+    entries :func:`mhaf.graph.node_param_entries` lists for it.  Returns a
+    ConvKernel (stride and groups from the node's attrs), BNParams, or the
+    :func:`bind_slots` dict of any other kind (empty for weightless ones)."""
+    if node.kind in ("conv", "bn"):
+        (arrays,) = _by_kind(store, node_param_entries(node, form))
+        if node.kind == "bn":
+            return _bn(arrays)
+        return _kernel(arrays, node.attrs["stride"], node.attrs["groups"])
+    return bind_slots(node, store, form)
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,8 @@ class TestExport:
         assert code == 0
         name, nodes, edges = parse_dot(out)
         assert name == "nano"
-        assert len(nodes) == 25
-        assert len(edges) == 37
+        assert len(nodes) == 35
+        assert len(edges) == 47
         assert len(set(edges)) == len(edges)
 
     def test_dot_to_file(self, capsys, tmp_path):
@@ -222,7 +222,7 @@ class TestWeightCommands:
             "--out", str(fused),
         )
         assert code == 0
-        assert "folded 89 batchnorms into conv weights" in out
+        assert "folded 5 normalization nodes" in out
         assert load_weights(fused).form == "deployed"
 
     def test_fuse_refuses_deployed_input(self, capsys, tmp_path):
@@ -275,7 +275,7 @@ class TestWeightCommands:
         (rec,) = parse_records(out)
         assert code == 0
         assert rec["type"] == "fusion"
-        assert rec["bn_folded"] == 89
+        assert rec["bn_nodes_removed"] == 5
         assert rec["floats_after"] < rec["floats_before"]
         assert rec["passed"] is True
 

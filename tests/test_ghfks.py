@@ -72,7 +72,7 @@ class TestKernelPlan:
 class TestReceptiveFieldPrimitives:
     def test_single_conv(self):
         g = chain_graph()
-        g.add("c", "unit", ("x",), kernel=3, stride=1)
+        g.add("c", "conv", ("x",), kernel=3, stride=1)
         entry = receptive_field(g)["c"]
         assert entry.rf == 3
         assert entry.stride == 1
@@ -81,18 +81,19 @@ class TestReceptiveFieldPrimitives:
         # after a stride-2 conv the jump doubles, so the second kernel
         # contributes (k-1)*2 input pixels
         g = chain_graph()
-        g.add("c1", "unit", ("x",), kernel=3, stride=2)
-        g.add("c2", "unit", ("c1",), kernel=3, stride=1)
+        g.add("c1", "conv", ("x",), kernel=3, stride=2)
+        g.add("c2", "conv", ("c1",), kernel=3, stride=1)
         ent = receptive_field(g)
         assert (ent["c1"].rf, ent["c1"].stride) == (3, 2)
         assert (ent["c2"].rf, ent["c2"].stride) == (7, 2)
 
-    def test_head_passes_through(self):
+    def test_elementwise_kinds_pass_through(self):
         g = chain_graph()
-        g.add("c", "unit", ("x",), kernel=5, stride=2)
-        g.add("h", "head", ("c",))
+        g.add("c", "conv", ("x",), kernel=5, stride=1)
+        g.add("b", "bn", ("c",))
+        g.add("s", "silu", ("b",))
         ent = receptive_field(g)
-        assert (ent["h"].rf, ent["h"].stride) == (ent["c"].rf, ent["c"].stride) == (5, 2)
+        assert ent["s"].rf == ent["c"].rf == 5
 
     def test_multi_stream_block_depth_rule(self):
         # a block node with N streams and M inner blocks applies
@@ -121,9 +122,9 @@ class TestReceptiveFieldFusionRoles:
         # the same-level input sees a single pixel at jump 4, so the other
         # input's path sets the node's rf; every role lands on jump 4
         g = chain_graph()
-        g.add("finer", "unit", ("x",), kernel=9, stride=2)
-        g.add("same", "unit", ("x",), kernel=1, stride=4)
-        g.add("coarser", "unit", ("x",), kernel=9, stride=8)
+        g.add("finer", "conv", ("x",), kernel=9, stride=2)
+        g.add("same", "conv", ("x",), kernel=1, stride=4)
+        g.add("coarser", "conv", ("x",), kernel=9, stride=8)
         other = "finer" if role.startswith("below") else "coarser"
         g.add("fuse", kind, ("same", other), roles=("same", role))
         entry = receptive_field(g)["fuse"]
@@ -134,15 +135,15 @@ class TestReceptiveFieldFusionRoles:
         # both inputs sit at jump 4, but the role expects its input at 2
         # (below) or 8 (above) to meet the same-level input's jump
         g = chain_graph()
-        g.add("same", "unit", ("x",), kernel=1, stride=4)
-        g.add("other", "unit", ("x",), kernel=3, stride=4)
+        g.add("same", "conv", ("x",), kernel=1, stride=4)
+        g.add("other", "conv", ("x",), kernel=3, stride=4)
         g.add("fuse", kind, ("same", "other"), roles=("same", role))
         with pytest.raises(GraphError, match=f"'fuse': {role} input sits at stride 4"):
             receptive_field(g)
 
     def test_same_role_passes_through(self):
         g = chain_graph()
-        g.add("c", "unit", ("x",), kernel=5, stride=2)
+        g.add("c", "conv", ("x",), kernel=5, stride=2)
         g.add("fuse", "aaf", ("c",), roles=("same",))
         entry = receptive_field(g)["fuse"]
         assert (entry.rf, entry.stride) == (5, 2)

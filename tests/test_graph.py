@@ -26,7 +26,7 @@ class TestGraphContainer:
         g = ModelGraph()
         g.add("x", "input", (), channels=3)
         with pytest.raises(GraphError, match="unknown input"):
-            g.add("c", "unit", ("missing",), kernel=3)
+            g.add("c", "conv", ("missing",), kernel=3)
 
     def test_duplicate_name_rejected(self):
         g = ModelGraph()
@@ -39,13 +39,10 @@ class TestGraphContainer:
         with pytest.raises(GraphError, match="kind"):
             g.add("x", "dense", ())
 
-    @pytest.mark.parametrize(
-        "kind", ["split", "add", "pool", "upsample", "concat", "conv", "bn", "silu"]
-    )
+    @pytest.mark.parametrize("kind", ["split", "add", "pool", "upsample", "concat"])
     def test_removed_kinds_rejected(self, kind):
         # assembly never emits these (fusion nodes pool, upsample and
-        # concatenate inside; a conv+BN+SiLU is one unit node), so they are
-        # not node kinds
+        # concatenate inside), so they are not node kinds
         g = ModelGraph()
         g.add("x", "input", (), channels=3)
         with pytest.raises(GraphError, match="kind"):
@@ -67,8 +64,8 @@ class TestAssembly:
 
     def test_node_and_edge_counts_are_stable(self):
         g = nano_graph()
-        assert len(g.nodes) == 25
-        assert len(g.edges()) == 37
+        assert len(g.nodes) == 35
+        assert len(g.edges()) == 47
 
     def test_shallow_fusion_arities(self):
         g = nano_graph()

@@ -29,6 +29,7 @@ from mhaf.reparam import RepHConvWeights, fuse_conv_bn, merge_heterogeneous
 from mhaf.tensor import conv2d_naive
 from mhaf.weights import (
     bind_node_weights,
+    bind_slots,
     init_weights,
     load_weights,
     save_weights,
@@ -102,8 +103,8 @@ class TestForward:
             for level in fast:
                 assert normalized_max_error(fast[level], reference[level]) <= 1e-5
 
-    def test_use_naive_conv_routes_exactly_the_unit_convs(self, monkeypatch):
-        # the flag sends the unit nodes' convs, and only those, through
+    def test_use_naive_conv_routes_exactly_the_conv_nodes(self, monkeypatch):
+        # the flag sends the graph's own conv nodes, and only those, through
         # conv2d_naive; every conv inside a composite node stays on
         # conv2d_fast
         graph, store = tiny_setup()
@@ -121,16 +122,16 @@ class TestForward:
 
             with monkeypatch.context() as m:
                 m.setattr(mhaf.model, "conv2d_naive", counting("naive", conv2d_naive))
-                for module in (mhaf.blocks, mhaf.reparam):
+                for module in (mhaf.blocks, mhaf.reparam, mhaf.model):
                     m.setattr(module, "conv2d_fast", counting("fast", module.conv2d_fast))
                 naive = forward(g, s, x, use_naive_conv=True)
-            units = [n for n in g if n.kind == "unit"]
+            conv_nodes = [n for n in g if n.kind == "conv"]
             convs = [e for e in graph_param_entries(g) if e.kind == "conv_weight"]
-            assert units
+            assert conv_nodes
             assert sorted(id(k.weights) for k in calls["naive"]) == sorted(
-                id(s[f"{n.name}.conv.weight"]) for n in units
+                id(s[f"{n.name}.weight"]) for n in conv_nodes
             )
-            assert len(calls["fast"]) == len(convs) - len(units)
+            assert len(calls["fast"]) == len(convs) - len(conv_nodes)
             for level in fast:
                 assert normalized_max_error(fast[level], naive[level]) <= 1e-5
 
@@ -220,7 +221,7 @@ def replace_entry(graph, store):
 
 
 def add_node(graph, store):
-    graph.add("extra", "head", (graph.outputs[0],))
+    graph.add("extra", "silu", (graph.outputs[0],))
 
 
 def drop_an_output(graph, store):
@@ -331,9 +332,7 @@ class TestFusion:
     def test_outcome_accounting(self):
         graph, store = tiny_setup()
         outcome = fuse_model(graph, store)
-        # one BN per unit slot and per mixer branch, each listing one gamma
-        gammas = [e for e in graph_param_entries(graph) if e.kind == "bn_gamma"]
-        assert outcome.bn_folded == len(gammas) == 89
+        assert outcome.bn_nodes_removed == 5
         assert outcome.params_after < outcome.params_before
         assert outcome.graph.form == "deployed"
         assert outcome.store.form == "deployed"
@@ -341,11 +340,8 @@ class TestFusion:
     def test_no_normalization_nodes_survive(self):
         graph, store = tiny_setup()
         outcome = fuse_model(graph, store)
-        assert [n.kind for n in outcome.graph] == [n.kind for n in graph]
+        assert all(n.kind != "bn" for n in outcome.graph.nodes.values())
         assert not any(".bn." in name for name in outcome.store.entries)
-        for node in outcome.graph:
-            for unit in bind_node_weights(node, outcome.store, "deployed").values():
-                assert isinstance(unit, ConvUnit) and unit.bn is None, node.name
 
     def test_bookkeeping_matches_outcome(self):
         graph, store = tiny_setup()
@@ -399,11 +395,10 @@ def non_identity_bn_store(graph, seed=0):
 
 
 def deployed_entries_by_hand(graph, store):
-    """{entry name: array} of the deployed form, spelled out here: each unit
-    node's one slot under the node's name, each aggregation module walked
-    entry -> streams -> blocks -> exit, and each bound slot folded by
-    fuse_conv_bn or merge_heterogeneous directly, rather than through the
-    graph's entry enumeration and ``fold_slot``."""
+    """{entry name: array} of the deployed form, spelled out here: each
+    aggregation module walked entry -> streams -> blocks -> exit, and each
+    bound slot folded by fuse_conv_bn or merge_heterogeneous directly,
+    rather than through the graph's entry enumeration and ``fold_slot``."""
     out = {}
 
     def emit(prefix, unit):
@@ -418,9 +413,11 @@ def deployed_entries_by_hand(graph, store):
 
     for node in graph:
         bound = bind_node_weights(node, store, "training")
-        if node.kind == "unit":
-            (unit,) = bound.values()
-            emit(node.name, unit)
+        if node.kind == "conv":
+            (bn,) = [n for n in graph if n.inputs == (node.name,)]
+            folded = fuse_conv_bn(bound, bind_node_weights(bn, store, "training"))
+            out[f"{node.name}.weight"] = folded.weights
+            out[f"{node.name}.bias"] = folded.bias
         elif node.kind == "rephms":
             spec = rephms_spec(node)
             paths = ["entry"]
@@ -453,22 +450,23 @@ class TestFusionOracle:
             assert got.tobytes() == want.tobytes(), name
 
     def test_deployed_binding_gives_the_folded_slots(self):
-        """Binding a fused unit or composite node gives, slot for slot, what
+        """Binding a fused composite node gives, slot for slot, what
         fold_slot makes of the training-form slots: BN-free ConvUnits with
         the same hyper-parameters and equal arrays."""
         graph = assemble(load_preset("nano"))
         store = non_identity_bn_store(graph, seed=9)
         outcome = fuse_model(graph, store)
-        bound_kinds = set()
+        composite = 0
         for node in graph:
+            if node.kind not in ("rephms", "saf", "aaf"):
+                continue
+            composite += 1
             folded = {
                 path: fold_slot(unit)
-                for path, unit in bind_node_weights(node, store, "training").items()
+                for path, unit in bind_slots(node, store, "training").items()
             }
-            if folded:
-                bound_kinds.add(node.kind)
             fused_node = outcome.graph.node(node.name)
-            bound = bind_node_weights(fused_node, outcome.store, "deployed")
+            bound = bind_slots(fused_node, outcome.store, "deployed")
             assert list(bound) == list(folded), node.name
             for path, want in folded.items():
                 got = bound[path]
@@ -480,7 +478,7 @@ class TestFusionOracle:
                 assert (g.stride, g.padding, g.groups) == (w.stride, w.padding, w.groups), where
                 assert np.array_equal(g.weights, w.weights), where
                 assert np.array_equal(g.bias, w.bias), where
-        assert bound_kinds == {"unit", "rephms", "saf", "aaf"}
+        assert composite > 0
 
 
 @st.composite

@@ -292,9 +292,8 @@ def entry_list_digest(graph):
 
 
 class TestEntryLists:
-    # nano's entry lists, pinned when the stem and downsample convs became
-    # unit nodes: a change to node kinds or slot naming must keep every
-    # existing weight file's names, shapes, kinds and order
+    # nano's entry lists, pinned: a change to node kinds or slot naming must
+    # keep every existing weight file's names, shapes, kinds and order
     PINNED = {
         "training": (445, "83874415f8ab9d7767544d5e7a870d1cad21a65b539842caafeffd4fee04de9c"),
         "deployed": (142, "763cd3e4cf8ce7999c891b4534c81685ef43be19d3ba93b476f741e66bdc4940"),
