@@ -123,15 +123,14 @@ def _check_slots(paths: list[str], units: dict) -> None:
 
 @dataclass(frozen=True)
 class ConvUnitSpec:
-    """Static description of a conv unit inside a composite module; ``path``
-    is the dotted slot name used for weight binding."""
+    """Static description of a dense conv unit inside a composite module;
+    ``path`` is the dotted slot name used for weight binding."""
 
     path: str
     in_ch: int
     out_ch: int
     kernel: int
     stride: int = 1
-    groups: int = 1
     act: bool = True
 
 
@@ -395,8 +394,8 @@ def aaf_fuse(
 
 def random_conv_unit(spec: ConvUnitSpec, rng: np.random.Generator) -> ConvUnit:
     """Sample a training-form unit: fan-in-scaled weights, mildly random BN."""
-    fan_in = (spec.in_ch // spec.groups) * spec.kernel * spec.kernel
-    w = (rng.standard_normal((spec.out_ch, spec.in_ch // spec.groups, spec.kernel, spec.kernel))
+    fan_in = spec.in_ch * spec.kernel * spec.kernel
+    w = (rng.standard_normal((spec.out_ch, spec.in_ch, spec.kernel, spec.kernel))
          * np.sqrt(2.0 / fan_in)).astype(np.float32)
     bn = BNParams(
         mean=rng.normal(0.0, 0.2, spec.out_ch).astype(np.float32),
@@ -404,7 +403,7 @@ def random_conv_unit(spec: ConvUnitSpec, rng: np.random.Generator) -> ConvUnit:
         gamma=rng.uniform(0.5, 1.5, spec.out_ch).astype(np.float32),
         beta=rng.normal(0.0, 0.2, spec.out_ch).astype(np.float32),
     )
-    kernel = ConvKernel(weights=w, stride=spec.stride, groups=spec.groups)
+    kernel = ConvKernel(weights=w, stride=spec.stride)
     return ConvUnit(kernel=kernel, bn=bn, act=spec.act)
 
 

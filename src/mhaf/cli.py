@@ -4,6 +4,17 @@ Every command takes a model config, given either as a positional argument
 (a preset name like ``nano`` or a path to a YAML file) or via ``--config``;
 supplying both, or neither, is a usage error.
 
+Each command builds its report twice over the same facts: a list of
+records (flat dicts) and a list of text lines, and returns them with its
+exit code.  No command prints.  ``main`` alone renders the report, with
+``format_records`` for ``--format records`` and the joined lines otherwise
+(``text``, or ``dot`` for ``export``), and writes it to stdout.
+
+``--out FILE`` means one of two things.  On ``init`` and ``fuse`` it is the
+weight file the command writes, and the report still goes to stdout.  On
+every other command it is the report itself: FILE receives exactly what
+stdout would have shown, and stdout stays empty.
+
 Exit codes: 0 success, 1 a validation or equivalence check failed,
 2 usage error, 3 file I/O failure (including checksum mismatches).
 """
@@ -58,12 +69,13 @@ def _add_format_arg(sub: argparse.ArgumentParser, choices=("text", "records")) -
     )
 
 
-def _add_out_arg(sub: argparse.ArgumentParser, required=False, what="report") -> None:
+def _add_out_arg(sub: argparse.ArgumentParser, what="report") -> None:
+    sub.add_argument("--out", metavar="FILE", help=f"write the {what} to FILE instead of stdout")
+
+
+def _add_weights_out_arg(sub: argparse.ArgumentParser, what: str) -> None:
     sub.add_argument(
-        "--out",
-        metavar="FILE",
-        required=required,
-        help=f"write the {what} to FILE" + ("" if required else " instead of stdout"),
+        "--out", dest="weights_out", metavar="FILE", required=True, help=f"write the {what} to FILE"
     )
 
 
@@ -103,12 +115,12 @@ def _plan_from(args) -> KernelPlan:
     return default_plan()
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _training_store(args, graph):
+    """The training-form store from ``--weights``, or one initialized from
+    ``--seed`` when no file is given."""
+    if args.weights:
+        return load_weights(args.weights)
+    return init_weights(graph, seed=args.seed)
 
 
 def _seeded_inputs(seed: int, count: int, size: int):
@@ -118,62 +130,51 @@ def _seeded_inputs(seed: int, count: int, size: int):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (records, lines, exit code) and prints nothing
 
 
-def _cmd_validate(args) -> int:
-    spec = _resolve_spec(args)
-    checks = validate_model(spec, _plan_from(args))
-    if args.format == "records":
-        _emit(args, format_records(
-            {"type": "check", "name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in checks
-        ))
+def _cmd_validate(args):
+    checks = validate_model(_resolve_spec(args), _plan_from(args))
+    records = [
+        {"type": "check", "name": c.name, "passed": c.passed, "detail": c.detail}
+        for c in checks
+    ]
+    lines = [f"[ {'pass' if c.passed else 'FAIL'} ] {c.name}: {c.detail}" for c in checks]
+    failed = sum(1 for c in checks if not c.passed)
+    if failed:
+        lines.append(f"{failed} of {len(checks)} checks failed")
     else:
-        lines = [
-            f"[ {'pass' if c.passed else 'FAIL'} ] {c.name}: {c.detail}"
-            for c in checks
-        ]
-        failed = sum(1 for c in checks if not c.passed)
-        if failed:
-            lines.append(f"{failed} of {len(checks)} checks failed")
-        else:
-            lines.append(f"all {len(checks)} checks passed")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if all(c.passed for c in checks) else 1
+        lines.append(f"all {len(checks)} checks passed")
+    return records, lines, 1 if failed else 0
 
 
-def _cmd_shapes(args) -> int:
+def _cmd_shapes(args):
     spec = _resolve_spec(args)
     graph = assemble(spec)
     size = args.input or spec.input_size
     shapes = shape_infer(graph, size)
     totals = count_params_flops(graph, size)
-    if args.format == "records":
-        recs = [
-            {"type": "shape", "node": name, "kind": graph.node(name).kind,
-             "channels": c, "height": h, "width": w}
-            for name, (c, h, w) in shapes.items()
-        ]
-        recs.append({"type": "totals", "input_size": size,
-                     "params": totals.params, "flops": totals.flops})
-        _emit(args, format_records(recs))
-    else:
-        name_w = max(len(n) for n in shapes)
-        lines = [
-            f"{name:<{name_w}}  {graph.node(name).kind:<8}  {c}x{h}x{w}"
-            for name, (c, h, w) in shapes.items()
-        ]
-        lines.append("")
-        lines.append(
-            f"params {totals.params:,}  flops {totals.flops:,} "
-            f"({totals.flops / 1e9:.2f} GFLOPs at {size}x{size})"
-        )
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    records = [
+        {"type": "shape", "node": name, "kind": graph.node(name).kind,
+         "channels": c, "height": h, "width": w}
+        for name, (c, h, w) in shapes.items()
+    ]
+    records.append({"type": "totals", "input_size": size,
+                    "params": totals.params, "flops": totals.flops})
+    name_w = max(len(n) for n in shapes)
+    lines = [
+        f"{name:<{name_w}}  {graph.node(name).kind:<8}  {c}x{h}x{w}"
+        for name, (c, h, w) in shapes.items()
+    ]
+    lines.append("")
+    lines.append(
+        f"params {totals.params:,}  flops {totals.flops:,} "
+        f"({totals.flops / 1e9:.2f} GFLOPs at {size}x{size})"
+    )
+    return records, lines, 0
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args):
     _resolve_spec(args)  # config is accepted for interface consistency
     plan = _plan_from(args)
     problem = None
@@ -181,73 +182,49 @@ def _cmd_plan(args) -> int:
         plan.validate()
     except MhafError as exc:
         problem = str(exc)
-    if args.format == "records":
-        recs = [{"type": "kernel", "slot": f"backbone.{lv}", "kernel": k}
-                for lv, k in plan.backbone.items()]
-        recs += [{"type": "kernel", "slot": f"neck.{pw}.{lv}", "kernel": k}
-                 for pw in plan.neck for lv, k in plan.neck[pw].items()]
-        recs.append({"type": "schedule", "passed": problem is None,
-                     "detail": problem or "schedule holds"})
-        _emit(args, format_records(recs))
-    else:
-        lines = ["backbone  " + "  ".join(f"{lv}:{k}" for lv, k in plan.backbone.items())]
-        for pw in plan.neck:
-            lines.append(f"{pw:<8}  " + "  ".join(f"{lv}:{k}" for lv, k in plan.neck[pw].items()))
-        lines.append(f"schedule: {problem or 'ok'}")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if problem is None else 1
+    records = [{"type": "kernel", "slot": f"backbone.{lv}", "kernel": k}
+               for lv, k in plan.backbone.items()]
+    records += [{"type": "kernel", "slot": f"neck.{pw}.{lv}", "kernel": k}
+                for pw in plan.neck for lv, k in plan.neck[pw].items()]
+    records.append({"type": "schedule", "passed": problem is None,
+                    "detail": problem or "schedule holds"})
+    lines = ["backbone  " + "  ".join(f"{lv}:{k}" for lv, k in plan.backbone.items())]
+    for pw in plan.neck:
+        lines.append(f"{pw:<8}  " + "  ".join(f"{lv}:{k}" for lv, k in plan.neck[pw].items()))
+    lines.append(f"schedule: {problem or 'ok'}")
+    return records, lines, 0 if problem is None else 1
 
 
-def _cmd_rf(args) -> int:
-    spec = _resolve_spec(args)
-    entries = rf_report(assemble(spec, _plan_from(args)))
-    if args.format == "records":
-        _emit(args, format_records(
-            {"type": "rf", **e.to_record()} for e in entries
-        ))
-    else:
-        lines = [f"{e.node}  stride {e.stride:<3} rf {e.rf}" for e in entries]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+def _cmd_rf(args):
+    entries = rf_report(assemble(_resolve_spec(args), _plan_from(args)))
+    records = [{"type": "rf", **e.to_record()} for e in entries]
+    lines = [f"{e.node}  stride {e.stride:<3} rf {e.rf}" for e in entries]
+    return records, lines, 0
 
 
-def _cmd_export(args) -> int:
-    spec = _resolve_spec(args)
-    graph = assemble(spec, _plan_from(args))
-    if args.format == "records":
-        _emit(args, format_records(export_graph(graph, "records")))
-    else:
-        _emit(args, export_graph(graph, "dot"))
-    return 0
+def _cmd_export(args):
+    graph = assemble(_resolve_spec(args), _plan_from(args))
+    return export_graph(graph, "records"), export_graph(graph, "dot").splitlines(), 0
 
 
-def _cmd_init(args) -> int:
-    spec = _resolve_spec(args)
-    graph = assemble(spec)
-    store = init_weights(graph, seed=args.seed)
-    save_weights(store, args.out)
-    size = os.path.getsize(args.out)
-    if args.format == "records":
-        text = format_records([{
-            "type": "init", "path": args.out, "entries": len(store.entries),
-            "bytes": size, "seed": args.seed, "config": store.spec_digest,
-        }])
-    else:
-        text = (
-            f"wrote {args.out}: {len(store.entries)} entries, {size:,} bytes, "
-            f"seed {args.seed}, config {store.spec_digest}\n"
-        )
-    sys.stdout.write(text)
-    return 0
+def _cmd_init(args):
+    store = init_weights(assemble(_resolve_spec(args)), seed=args.seed)
+    save_weights(store, args.weights_out)
+    size = os.path.getsize(args.weights_out)
+    records = [{
+        "type": "init", "path": args.weights_out, "entries": len(store.entries),
+        "bytes": size, "seed": args.seed, "config": store.spec_digest,
+    }]
+    lines = [
+        f"wrote {args.weights_out}: {len(store.entries)} entries, {size:,} bytes, "
+        f"seed {args.seed}, config {store.spec_digest}"
+    ]
+    return records, lines, 0
 
 
-def _cmd_fuse(args) -> int:
-    spec = _resolve_spec(args)
-    graph = assemble(spec)
-    if args.weights:
-        store = load_weights(args.weights)
-    else:
-        store = init_weights(graph, seed=args.seed)
+def _cmd_fuse(args):
+    graph = assemble(_resolve_spec(args))
+    store = _training_store(args, graph)
     outcome = fuse_model(graph, store)
     deviation = 0.0
     for x in _seeded_inputs(args.seed, args.trials, args.input):
@@ -257,35 +234,27 @@ def _cmd_fuse(args) -> int:
             deviation = max(deviation, float(np.max(np.abs(before[level] - after[level]))))
     passed = deviation <= args.tol
     if passed:
-        save_weights(outcome.store, args.out)
-    if args.format == "records":
-        text = format_records([{
-            "type": "fusion", "bn_nodes_removed": outcome.bn_nodes_removed,
-            "floats_before": outcome.params_before,
-            "floats_after": outcome.params_after,
-            "trials": args.trials, "input_size": args.input,
-            "max_deviation": deviation, "tolerance": args.tol,
-            "passed": passed, "out": args.out if passed else None,
-        }])
-    else:
-        lines = [
-            f"folded {outcome.bn_nodes_removed} normalization nodes into conv weights",
-            f"weight floats: {outcome.params_before:,} -> {outcome.params_after:,}",
-            f"max deviation over {args.trials} inputs at {args.input}x{args.input}: "
-            f"{deviation:.2e} (tolerance {args.tol:.0e})",
-        ]
-        if passed:
-            lines.append(f"wrote {args.out}")
-        else:
-            lines.append("deviation exceeds tolerance; nothing written")
-        text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    return 0 if passed else 1
+        save_weights(outcome.store, args.weights_out)
+    records = [{
+        "type": "fusion", "bn_nodes_removed": outcome.bn_nodes_removed,
+        "floats_before": outcome.params_before,
+        "floats_after": outcome.params_after,
+        "trials": args.trials, "input_size": args.input,
+        "max_deviation": deviation, "tolerance": args.tol,
+        "passed": passed, "out": args.weights_out if passed else None,
+    }]
+    lines = [
+        f"folded {outcome.bn_nodes_removed} normalization nodes into conv weights",
+        f"weight floats: {outcome.params_before:,} -> {outcome.params_after:,}",
+        f"max deviation over {args.trials} inputs at {args.input}x{args.input}: "
+        f"{deviation:.2e} (tolerance {args.tol:.0e})",
+        f"wrote {args.weights_out}" if passed else "deviation exceeds tolerance; nothing written",
+    ]
+    return records, lines, 0 if passed else 1
 
 
-def _cmd_verify(args) -> int:
-    spec = _resolve_spec(args)
-    graph = assemble(spec, _plan_from(args))
+def _cmd_verify(args):
+    graph = assemble(_resolve_spec(args), _plan_from(args))
     pairs = sorted({
         (node.attrs["kernel"], rephms_spec(node).expanded_width)
         for node in graph.nodes.values()
@@ -298,29 +267,19 @@ def _cmd_verify(args) -> int:
         )
         for kernel, channels in pairs
     ]
-    passed = all(r.passed for r in reports)
-    if args.format == "records":
-        _emit(args, format_records(
-            {"type": "equivalence", **r.to_record()} for r in reports
-        ))
+    records = [{"type": "equivalence", **r.to_record()} for r in reports]
+    lines = [r.summary() for r in reports]
+    bad = sum(1 for r in reports if not r.passed)
+    if bad:
+        lines.append(f"{bad} of {len(reports)} mixer configurations diverged")
     else:
-        lines = [r.summary() for r in reports]
-        if passed:
-            lines.append(f"all {len(reports)} mixer configurations equivalent")
-        else:
-            bad = sum(1 for r in reports if not r.passed)
-            lines.append(f"{bad} of {len(reports)} mixer configurations diverged")
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if passed else 1
+        lines.append(f"all {len(reports)} mixer configurations equivalent")
+    return records, lines, 1 if bad else 0
 
 
-def _cmd_bench(args) -> int:
-    spec = _resolve_spec(args)
-    graph = assemble(spec)
-    if args.weights:
-        store = load_weights(args.weights)
-    else:
-        store = init_weights(graph, seed=args.seed)
+def _cmd_bench(args):
+    graph = assemble(_resolve_spec(args))
+    store = _training_store(args, graph)
     x = next(_seeded_inputs(args.seed, 1, args.input))
     training = benchmark_forward(graph, store, x, "training", iterations=args.trials)
     outcome = fuse_model(graph, store)
@@ -328,21 +287,13 @@ def _cmd_bench(args) -> int:
         outcome.graph, outcome.store, x, "deployed", iterations=args.trials
     )
     ratio = training.median_seconds / deployed.median_seconds
-    if args.format == "records":
-        recs = [
-            {"type": "bench", **training.to_record()},
-            {"type": "bench", **deployed.to_record()},
-            {"type": "speedup", "ratio": ratio},
-        ]
-        _emit(args, format_records(recs))
-    else:
-        lines = [
-            _bench_line(training),
-            _bench_line(deployed),
-            f"speedup: {ratio:.2f}x",
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    records = [
+        {"type": "bench", **training.to_record()},
+        {"type": "bench", **deployed.to_record()},
+        {"type": "speedup", "ratio": ratio},
+    ]
+    lines = [_bench_line(training), _bench_line(deployed), f"speedup: {ratio:.2f}x"]
+    return records, lines, 0
 
 
 def _bench_line(res) -> str:
@@ -399,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = command("init", _cmd_init, "write deterministically initialized weights")
     sub.add_argument("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
-    _add_out_arg(sub, required=True, what="weight file")
+    _add_weights_out_arg(sub, "weight file")
     _add_format_arg(sub)
 
     sub = command("fuse", _cmd_fuse, "fold normalization into conv weights and verify")
@@ -408,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trials", type=_at_least(1), default=10, help="verification inputs (default 10)")
     sub.add_argument("--input", type=_at_least(1), default=320, metavar="N", help="verification resolution (default 320)")
     sub.add_argument("--tol", type=_at_least(0, float), default=1e-2, help="max allowed deviation (default 1e-2)")
-    _add_out_arg(sub, required=True, what="fused weight file")
+    _add_weights_out_arg(sub, "fused weight file")
     _add_format_arg(sub)
 
     sub = command("verify", _cmd_verify, "check multi-branch/single-kernel equivalence for every mixer")
@@ -437,11 +388,18 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return args.handler(args)
-    except WeightFileError as exc:
-        print(f"mhaf: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+        records, lines, code = args.handler(args)
+        if args.format == "records":
+            text = format_records(records)
+        else:
+            text = "\n".join(lines) + "\n"
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except (WeightFileError, OSError) as exc:
         print(f"mhaf: {exc}", file=sys.stderr)
         return 3
     except MhafError as exc:

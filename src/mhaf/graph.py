@@ -186,8 +186,6 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
             "scale": spec.scale,
             "input_size": spec.input_size,
             "spec_hash": spec_hash(spec),
-            "spec": spec,
-            "plan": plan,
         },
     )
 
@@ -431,7 +429,7 @@ def _bn_entries(prefix: str, channels: int) -> list[ParamEntry]:
 
 
 def _unit_entries(prefix: str, slot: ConvUnitSpec, form: str) -> list[ParamEntry]:
-    wshape = (slot.out_ch, slot.in_ch // slot.groups, slot.kernel, slot.kernel)
+    wshape = (slot.out_ch, slot.in_ch, slot.kernel, slot.kernel)
     entries = [ParamEntry(f"{prefix}.conv.weight", wshape, "conv_weight")]
     if form == "deployed":
         entries.append(ParamEntry(f"{prefix}.conv.bias", (slot.out_ch,), "conv_bias"))
@@ -613,7 +611,7 @@ class Check:
     detail: str
 
 
-def validate_model(spec: ModelSpec, plan: KernelPlan | None = None, input_size=None) -> list[Check]:
+def validate_model(spec: ModelSpec, plan: KernelPlan | None = None) -> list[Check]:
     """Run the standard structural checks on a configuration and return one
     pass/fail entry per check."""
     checks: list[Check] = []
@@ -651,7 +649,7 @@ def validate_model(spec: ModelSpec, plan: KernelPlan | None = None, input_size=N
     graph = graph_box["g"]
 
     def shapes_check():
-        shapes = shape_infer(graph, input_size)
+        shapes = shape_infer(graph)
         heads = {
             lv: shapes[f"head.{lv}"] for lv in NECK_LEVELS
         }

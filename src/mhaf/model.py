@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import FUSION_ROLES, aaf_fuse, fold_slot, rephms_forward, saf_fuse
-from .errors import NumericError, ShapeError, StateError
+from .errors import ConfigError, NumericError, ShapeError, StateError
 from .graph import ModelGraph, Node, check_input_size, node_param_entries, rephms_spec
 from .reparam import fuse_conv_bn
 from .tensor import batchnorm_infer, check_tensor4, conv2d_fast, conv2d_naive, silu
@@ -267,6 +267,10 @@ def benchmark_forward(
 ) -> BenchResult:
     """Median-of-N timing after warmup runs (median resists scheduler
     noise better than the mean)."""
+    if iterations < 1:
+        raise ConfigError(f"iterations must be at least 1, got {iterations}")
+    if warmups < 0:
+        raise ConfigError(f"warmups must be at least 0, got {warmups}")
     for _ in range(warmups):
         forward(graph, store, x)
     samples = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KernelError, ShapeError
+from .errors import ConfigError, KernelError, ShapeError
 from .tensor import BNParams, ConvKernel, batchnorm_infer, conv2d_fast
 
 __all__ = [
@@ -248,6 +248,8 @@ def verify_equivalence(
     absolute output difference.  Wall-clock per form is recorded as a side
     effect (the deployed form should never be slower).
     """
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     max_abs = 0.0
     mean_abs = 0.0
@@ -274,7 +276,7 @@ def verify_equivalence(
         trials=trials,
         tolerance=tolerance,
         max_abs_error=max_abs,
-        mean_abs_error=mean_abs / max(trials, 1),
+        mean_abs_error=mean_abs / trials,
         training_seconds=t_train,
         deployed_seconds=t_deploy,
     )

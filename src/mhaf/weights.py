@@ -206,7 +206,7 @@ def _bn(arrays: dict) -> BNParams | None:
 def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, form: str):
     """Materialize one weighted slot of a composite node, in the given form,
     from the entries :func:`mhaf.graph.slot_entries` lists for it.  A
-    conv-unit slot binds as a ConvUnit (stride, groups and activation from
+    conv-unit slot binds as a dense ConvUnit (stride and activation from
     the slot).  A mixer slot binds as RepHConvWeights in training form and,
     deployed, as the unit :func:`mhaf.blocks.fold_slot` gives it: one
     unactivated stride-1 depthwise ConvUnit."""
@@ -219,7 +219,7 @@ def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, f
             return ConvUnit(kernel=fused, act=False)
         return RepHConvWeights(spec=spec, branches=branches)
     (arrays,) = convs
-    kernel = _kernel(arrays, slot.stride, slot.groups)
+    kernel = _kernel(arrays, slot.stride, 1)
     return ConvUnit(kernel=kernel, bn=_bn(arrays), act=slot.act)
 
 

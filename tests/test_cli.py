@@ -1,5 +1,6 @@
 """Tests for the command-line interface: output, formats, and exit codes."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -37,6 +38,15 @@ def parse_dot(text):
         else:
             edges.append((edge.group(1), edge.group(2)))
     return header.group(1), nodes, edges
+
+
+FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?|-?\d+e[-+]?\d+")
+
+
+def masked(text):
+    """``text`` with every float replaced by ``F``: fusion deviations,
+    equivalence errors and timings depend on the BLAS build and the host."""
+    return FLOAT.sub("F", text)
 
 
 class TestUsageErrors:
@@ -318,6 +328,94 @@ class TestWeightCommands:
         assert code == 0
         assert [r["type"] for r in recs] == ["bench", "bench", "speedup"]
         assert recs[2]["ratio"] > 0
+
+
+RECORDS = ("--format", "records")
+FUSE = ("fuse", "lite-nano", "--trials", "1", "--input", "64", "--out", "OUT")
+VERIFY = ("verify", "lite-nano", "--trials", "2")
+
+# (argv, exit code, sha256 of stdout).  "OUT" in argv stands for a weight
+# file under tmp_path, and its path is written back as "OUT" in the output.
+# Fuse and verify are pinned with every float masked.
+PINNED = [
+    (("validate", "nano"), 0,
+     "89c912fabbbe86d5dbbc7165881983ede8b9eb9c5e55fb93a280e908bf25b645"),
+    (("validate", "nano", *RECORDS), 0,
+     "8c741f2a4ff27f272cc481e663add789e3e3fe4293ed6a267f8c294aa03e852c"),
+    (("validate", "nano", "--uniform", "3"), 1,
+     "3f25361562fe431eb10a6b4f29a90e2f211c72d3b43b8a4cbfe872d408bb02db"),
+    (("validate", "nano", "--uniform", "3", *RECORDS), 1,
+     "b001df9f96a30a2cdcedc20b250a3577490fea36558021f88ba21a96e7c6674a"),
+    (("shapes", "nano"), 0,
+     "c06d46be1369a7b1eb865aeeb6e01411445fc8ef17730ce6b2066f6a907787c1"),
+    (("shapes", "nano", *RECORDS), 0,
+     "6864e9c6fc92f5cd6e79d30fb4dc9708eca95c95a29f0d4e245c87c811cebe06"),
+    (("plan", "nano"), 0,
+     "c36a881cee4692f2974b881c108b6caaf24583a21de65d8cbcf63acb65660895"),
+    (("plan", "nano", *RECORDS), 0,
+     "b2d4356e4e1b91d590fc9b1dbadadafe20f564a9d6e0ec333c5805d9860424bc"),
+    (("rf", "nano"), 0,
+     "4125510db35435f144fb481127761ca6803a3a549555d980fcee1f40b50d1d49"),
+    (("rf", "nano", *RECORDS), 0,
+     "38565683550d275a7e5493cc733ab400d86d64527d3110d3ef0bb39fc951b4e3"),
+    (("export", "nano"), 0,
+     "1e0684efa1d0451471ee553ff9d96abb2880b927821931f9681e3074538aeb14"),
+    (("export", "nano", *RECORDS), 0,
+     "ff62de4323386e161176ad48402067c4197d852043f7e38750fb0e6bb02023ce"),
+    (("init", "lite-nano", "--seed", "3", "--out", "OUT"), 0,
+     "2cf606a6f73c113d152ed67bc3b290958211f51d096e67b39e911b8e86e128bc"),
+    (("init", "lite-nano", "--seed", "3", "--out", "OUT", *RECORDS), 0,
+     "16cc6b8daaa92be57d837504ff16e8ece43185e48525777718501ece269e4645"),
+    (FUSE, 0,
+     "74d4858e203f0bd138cc00ba646ab9281fe3bdc2d34617e62e69f83fd8a3275e"),
+    ((*FUSE, *RECORDS), 0,
+     "ae3cfaf6900056c335de797669cfbcd8fb6b78b01aae00e1f4424c1afa00edfe"),
+    (VERIFY, 0,
+     "3641d5ab2e3609414cca7911f1319e1f31537c1ed94323da954de5797044ea9f"),
+    ((*VERIFY, *RECORDS), 0,
+     "62496acdbd0ddd23557202bb0d56b53eb068d19e7e22f50e2ad7ebcafe1ad04e"),
+]
+
+
+class TestPinnedOutput:
+    """Whole outputs, pinned by digest: a change to any command's report,
+    in either format, shows here."""
+
+    @pytest.mark.parametrize(
+        "argv, code, digest", PINNED, ids=[" ".join(argv) for argv, _, _ in PINNED]
+    )
+    def test_stdout_digest(self, capsys, tmp_path, argv, code, digest):
+        target = str(tmp_path / "w.mhwt")
+        got_code, out, err = run(capsys, *(target if a == "OUT" else a for a in argv))
+        out = out.replace(target, "OUT")
+        if argv[0] in ("fuse", "verify"):
+            out = masked(out)
+        assert (got_code, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    @pytest.mark.parametrize("argv", [("validate", "nano"), ("validate", "nano", "--uniform", "3")])
+    def test_report_out_receives_stdout(self, capsys, tmp_path, argv, fmt):
+        code, shown, _ = run(capsys, *argv, "--format", fmt)
+        report = tmp_path / "report.txt"
+        code_out, out, err = run(capsys, *argv, "--format", fmt, "--out", str(report))
+        assert (code_out, out, err) == (code, "", "")
+        assert report.read_text(encoding="utf-8") == shown
+
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    @pytest.mark.parametrize("argv, form", [
+        (("init", "lite-nano"), "training"),
+        (("fuse", "lite-nano", "--trials", "1", "--input", "64"), "deployed"),
+    ])
+    def test_weight_commands_report_on_stdout(self, capsys, tmp_path, argv, form, fmt):
+        target = tmp_path / "w.mhwt"
+        code, out, _ = run(capsys, *argv, "--format", fmt, "--out", str(target))
+        assert code == 0
+        assert load_weights(target).form == form
+        if fmt == "records":
+            assert len(parse_records(out)) == 1
+        else:
+            assert str(target) in out.splitlines()[-1]
 
 
 class TestModuleInvocation:

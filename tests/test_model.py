@@ -15,7 +15,7 @@ import mhaf.model
 import mhaf.reparam
 from mhaf.blocks import ConvUnit, fold_slot
 from mhaf.config import ModelSpec, load_preset, parse_config, serialize_config
-from mhaf.errors import NumericError, ShapeError, StateError
+from mhaf.errors import ConfigError, NumericError, ShapeError, StateError
 from mhaf.ghfks import default_plan, uniform_plan
 from mhaf.graph import (
     assemble,
@@ -552,6 +552,18 @@ class TestBenchmark:
         assert res.input_shape == (1, 3, 64, 64)
         assert res.iterations == 3
         assert 0 < res.min_seconds <= res.median_seconds <= res.max_seconds
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"iterations": 0}, "iterations must be at least 1, got 0"),
+        ({"warmups": -1}, "warmups must be at least 0, got -1"),
+    ])
+    def test_bad_counts_rejected_before_any_forward(self, monkeypatch, counts, message):
+        graph, store = tiny_setup()
+        calls = []
+        monkeypatch.setattr(mhaf.model, "forward", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match=message):
+            benchmark_forward(graph, store, tiny_input(64), "training", **counts)
+        assert calls == []
 
     def test_record_is_flat(self):
         graph, store = tiny_setup()

@@ -8,7 +8,7 @@ ops compute.
 import numpy as np
 import pytest
 
-from mhaf.errors import KernelError
+from mhaf.errors import ConfigError, KernelError
 from mhaf.reparam import (
     RepHConvSpec,
     RepHConvWeights,
@@ -166,6 +166,11 @@ class TestVerifyEquivalence:
         b = verify_equivalence(RepHConvSpec(8, 9), trials=5, seed=7)
         assert a.max_abs_error == b.max_abs_error
         assert a.mean_abs_error == b.mean_abs_error
+
+    def test_zero_trials_rejected(self):
+        """A run that compares nothing must not report a pass."""
+        with pytest.raises(ConfigError, match="trials must be at least 1, got 0"):
+            verify_equivalence(RepHConvSpec(8, 5), trials=0)
 
     def test_record_and_summary_carry_the_numbers(self):
         report = verify_equivalence(RepHConvSpec(4, 5), trials=3, seed=5)
