@@ -108,10 +108,8 @@ def parse_config(text: str) -> ModelSpec:
     Raises :class:`ConfigError` naming the offending key (and its line when
     it exists in the document) for every constraint violation.
     """
-    lines = _key_lines(text)
-
     def fail(msg, key=None):
-        raise ConfigError(msg, key=key, line=lines.get(key))
+        raise ConfigError(msg, key=key, line=_key_lines(text).get(key))
 
     try:
         data = yaml.safe_load(text)

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import FUSION_ROLES, aaf_fuse, fold_slot, rephms_forward, saf_fuse
+from .blocks import FUSION_ROLES, ConvUnit, aaf_fuse, fold_slot, rephms_forward, saf_fuse
 from .errors import ConfigError, NumericError, ShapeError, StateError
 from .graph import ModelGraph, Node, check_input_size, node_param_entries, rephms_spec
-from .reparam import fuse_conv_bn
 from .tensor import batchnorm_infer, check_tensor4, conv2d_fast, conv2d_naive, silu
-from .weights import WeightStore, bind_node_weights, bind_slots, validate_store
+from .weights import WeightStore, bind_node_weights, validate_store
 
 __all__ = ["forward", "fuse_model", "FusionOutcome", "benchmark_forward", "BenchResult"]
 
@@ -163,30 +162,30 @@ class FusionOutcome:
 def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
     """Convert a training-form model to deployed form.
 
-    Standalone conv+BN node pairs collapse into bias-carrying convs (the BN
-    node disappears from the graph); composite nodes keep their place and
-    each weighted slot folds into one kernel (a unit's BN into its conv, a
-    mixer's branches merged).  Deployed entry names come from the fused
-    node's own entry list.  The computed function is preserved up to float
-    rounding.
+    Every node binds through :func:`bind_node_weights` and every
+    training-form unit folds through :func:`fold_slot`: a ``conv`` node and
+    the ``bn`` node after it fold as one unactivated ConvUnit into a
+    bias-carrying conv (the BN node disappears from the graph), and each
+    weighted slot of a composite node folds into one kernel (a unit's BN
+    into its conv, a mixer's branches merged) while the node keeps its
+    place.  Deployed entry names come from the fused node's own entry list.
+    The computed function is preserved up to float rounding.
     """
     if graph.form != "training":
         raise StateError("model is already in deployed form")
     validate_store(graph, store)
 
-    # which bn nodes follow which conv nodes
-    bn_after_conv: dict[str, str] = {}
+    # the conv node each bn node follows, and the bn node after each conv
+    conv_of: dict[str, str] = {}
     for node in graph:
         if node.kind == "bn":
             (src,) = node.inputs
-            if graph.node(src).kind == "conv":
-                bn_after_conv[node.name] = src
-            else:
+            if graph.node(src).kind != "conv":
                 raise StateError(
                     f"bn node '{node.name}' does not follow a conv; cannot fuse"
                 )
-
-    conv_to_bn = {conv: bn for bn, conv in bn_after_conv.items()}
+            conv_of[node.name] = src
+    bn_of = {conv: graph.node(bn) for bn, conv in conv_of.items()}
 
     fused_graph = ModelGraph(form="deployed", meta=dict(graph.meta))
     fused_store = WeightStore(
@@ -199,24 +198,19 @@ def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
         if node.kind == "bn":
             continue
         attrs = dict(node.attrs)
+        units = bind_node_weights(node, store, "training")
         if node.kind == "conv":
-            if node.name not in conv_to_bn:
+            if node.name not in bn_of:
                 raise StateError(
                     f"conv node '{node.name}' has no trailing bn to fold"
                 )
             attrs["bias"] = True
-            bn = graph.node(conv_to_bn[node.name])
-            kernels = [
-                fuse_conv_bn(
-                    bind_node_weights(node, store, "training"),
-                    bind_node_weights(bn, store, "training"),
-                )
-            ]
-        else:
-            kernels = [fold_slot(u).kernel for u in bind_slots(node, store, "training").values()]
-        inputs = tuple(bn_after_conv.get(i, i) for i in node.inputs)
+            bn = bind_node_weights(bn_of[node.name], store, "training")
+            units = {node.name: ConvUnit(kernel=units, bn=bn, act=False)}
+        inputs = tuple(conv_of.get(i, i) for i in node.inputs)
         fused = fused_graph.add(node.name, node.kind, inputs, **attrs)
-        # each kernel's weight and bias fill the fused node's next two entries
+        # each folded unit's weight and bias fill the fused node's next two entries
+        kernels = [fold_slot(unit).kernel for unit in units.values()]
         arrays = [a for k in kernels for a in (k.weights, k.bias)]
         for entry, arr in zip(node_param_entries(fused, "deployed"), arrays, strict=True):
             fused_store.entries[entry.name] = arr
@@ -227,7 +221,7 @@ def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
     return FusionOutcome(
         graph=fused_graph,
         store=fused_store,
-        bn_nodes_removed=len(bn_after_conv),
+        bn_nodes_removed=len(conv_of),
         params_before=params_before,
         params_after=params_after,
     )

@@ -259,29 +259,28 @@ _TILE_MAX = 12
 _ROWS_CHUNK_BYTES = 1 << 20
 
 
-def _tile_width(ow: int, s: int) -> int:
+def _tile_width(ow: int) -> int:
     """Output columns per depthwise tile: the largest divisor of ``ow`` up
     to ``_TILE_MAX``, or the whole row (one tile) when that divisor is
-    under half of ``min(ow, _TILE_MAX)`` or the conv is strided."""
-    if s > 1:
-        return ow
+    under half of ``min(ow, _TILE_MAX)``."""
     cap = min(ow, _TILE_MAX)
     t = max(d for d in range(1, cap + 1) if ow % d == 0)
     return t if 2 * t >= cap else ow
 
 
-def _depthwise_band(xp: np.ndarray, w: np.ndarray, s: int, oh: int, ow: int) -> np.ndarray:
-    """Depthwise conv (multiplier 1) of the padded input ``xp``; NCHW out.
+def _depthwise_band(xp: np.ndarray, w: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """Stride-1 depthwise conv (multiplier 1) of the padded input ``xp``;
+    NCHW out.
 
     Each output row is cut into ``nt`` tiles of ``T`` columns
     (:func:`_tile_width`; the tiles fit the row exactly).  Per channel,
-    tile ``t`` of output row ``y`` reads padded rows ``y*s .. y*s+k-1``,
-    columns ``t*T*s`` on, as one vector of length ``k*L`` with
-    ``L = s*(T-1) + k``.  One ``(C, k*L, T)`` band per channel serves every
-    tile: it holds tap ``w[c, i, j]`` at ``[i*L + x*s + j, x]`` and zeros
+    tile ``t`` of output row ``y`` reads padded rows ``y .. y+k-1``,
+    columns ``t*T`` on, as one vector of length ``k*L`` with
+    ``L = T - 1 + k``.  One ``(C, k*L, T)`` band per channel serves every
+    tile: it holds tap ``w[c, i, j]`` at ``[i*L + x + j, x]`` and zeros
     elsewhere, so a matmul sums each output's k*k taps.  The band is one
     copy of a negative-stride view of the taps, zero-padded to
-    ``s*(T-1) + L`` columns.
+    ``T - 1 + L`` columns.
 
     The tile rows overlap, and numpy hands BLAS no matrix whose row stride
     is shorter than its rows, so they are always copied: channel-major, in
@@ -294,22 +293,21 @@ def _depthwise_band(xp: np.ndarray, w: np.ndarray, s: int, oh: int, ow: int) -> 
     """
     b, c = xp.shape[:2]
     k = w.shape[2]
-    t = _tile_width(ow, s)
+    t = _tile_width(ow)
     nt = ow // t
-    base = s * (t - 1)
-    span = base + k
-    taps = np.zeros((c, k, base + span), dtype=np.float32)
-    taps[:, :, base : base + k] = w[:, 0]
+    span = t - 1 + k
+    taps = np.zeros((c, k, t - 1 + span), dtype=np.float32)
+    taps[:, :, t - 1 : t - 1 + k] = w[:, 0]
     tc, ti, tj = taps.strides
     band = np.ascontiguousarray(
         as_strided(
-            taps[:, :, base:], shape=(c, k, span, t), strides=(tc, ti, tj, -s * tj),
+            taps[:, :, t - 1 :], shape=(c, k, span, t), strides=(tc, ti, tj, -tj),
             writeable=False,
         )
     ).reshape(c, k * span, t)
     sb, sc, sh, sw = xp.strides
     rows = as_strided(
-        xp, shape=(c, b, oh, nt, k, span), strides=(sc, sb, sh * s, sw * t, sh, sw),
+        xp, shape=(c, b, oh, nt, k, span), strides=(sc, sb, sh, sw * t, sh, sw),
         writeable=False,
     )
     m = b * oh * nt
@@ -331,16 +329,16 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     to float32 rounding.
 
     Two routes after padding once, each handing BLAS only operands it
-    takes (contiguous, or views with non-overlapping rows).  Depthwise
-    kernels (groups == in == out channels) multiply copied, overlapping
-    input tile rows by a banded matrix of the taps
-    (:func:`_depthwise_band`); at stride 1 with same padding, the outer
-    rings of taps that can only read padding (those more than
-    ``max(H, W) - 1`` off centre) are cropped first, so a 9x9 kernel on a
-    3x3 map runs as 5x5.  Every other conv (pointwise, dense, grouped,
-    channel-multiplier depthwise, any stride or padding) multiplies the
-    grouped weights with im2col patch columns (:func:`_im2col`).  An
-    all-zero bias is not added; the check runs on every call.
+    takes (contiguous, or views with non-overlapping rows).  Stride-1
+    depthwise kernels (groups == in == out channels) multiply copied,
+    overlapping input tile rows by a banded matrix of the taps
+    (:func:`_depthwise_band`); with same padding, the outer rings of taps
+    that can only read padding (those more than ``max(H, W) - 1`` off
+    centre) are cropped first, so a 9x9 kernel on a 3x3 map runs as 5x5.
+    Every other conv (pointwise, dense, grouped, channel-multiplier or
+    strided depthwise, any padding) multiplies the grouped weights with
+    im2col patch columns (:func:`_im2col`).  An all-zero bias is not
+    added; the check runs on every call.
 
     For finite inputs the result matches :func:`conv2d_naive` within
     float32 rounding.  For non-finite inputs, every output that
@@ -355,8 +353,8 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     g = kernel.groups
     k, s, p = kernel.kernel_size, kernel.stride, kernel.padding
     w = kernel.weights
-    dw = g == cin == cout
-    if dw and s == 1 and 2 * p == k - 1:
+    dw = g == cin == cout and s == 1
+    if dw and 2 * p == k - 1:
         # a ring of taps more than max(H, W) - 1 off centre reads only padding
         crop = max(0, p - max(x.shape[2:]) + 1)
         w, p = w[:, :, crop : k - crop, crop : k - crop], p - crop
@@ -369,7 +367,7 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     else:
         xp = x
     if dw:
-        out = _depthwise_band(xp, w, s, oh, ow)
+        out = _depthwise_band(xp, w, oh, ow)
     else:
         cols = _im2col(xp, g, k, s, oh, ow)
         out = np.matmul(w.reshape(g, cout // g, -1), cols).reshape(b, cout, oh, ow)

@@ -60,7 +60,6 @@ __all__ = [
     "init_weights",
     "validate_store",
     "bind_slot",
-    "bind_slots",
     "bind_node_weights",
     "save_weights",
     "load_weights",
@@ -223,26 +222,21 @@ def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, f
     return ConvUnit(kernel=kernel, bn=_bn(arrays), act=slot.act)
 
 
-def bind_slots(node: Node, store: WeightStore, form: str) -> dict:
-    """{slot path: :func:`bind_slot` result} for every weighted slot of a
-    composite node, in slot order (empty for primitive kinds)."""
-    return {
-        slot.path: bind_slot(store, prefix, slot, form)
-        for prefix, slot in node_slots(node).items()
-    }
-
-
 def bind_node_weights(node: Node, store: WeightStore, form: str):
     """Materialize the structured weights of one graph node from the
     entries :func:`mhaf.graph.node_param_entries` lists for it.  Returns a
-    ConvKernel (stride and groups from the node's attrs), BNParams, or the
-    :func:`bind_slots` dict of any other kind (empty for weightless ones)."""
+    ConvKernel (stride and groups from the node's attrs), BNParams, or, for
+    any other kind, {slot path: :func:`bind_slot` result} for every weighted
+    slot in slot order (empty for weightless kinds)."""
     if node.kind in ("conv", "bn"):
         (arrays,) = _by_kind(store, node_param_entries(node, form))
         if node.kind == "bn":
             return _bn(arrays)
         return _kernel(arrays, node.attrs["stride"], node.attrs["groups"])
-    return bind_slots(node, store, form)
+    return {
+        slot.path: bind_slot(store, prefix, slot, form)
+        for prefix, slot in node_slots(node).items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import pickle
 import weakref
 from collections import Counter
@@ -18,6 +19,7 @@ from mhaf.config import ModelSpec, load_preset, parse_config, serialize_config
 from mhaf.errors import ConfigError, NumericError, ShapeError, StateError
 from mhaf.ghfks import default_plan, uniform_plan
 from mhaf.graph import (
+    ModelGraph,
     assemble,
     count_params_flops,
     graph_param_entries,
@@ -29,7 +31,6 @@ from mhaf.reparam import RepHConvWeights, fuse_conv_bn, merge_heterogeneous
 from mhaf.tensor import conv2d_naive
 from mhaf.weights import (
     bind_node_weights,
-    bind_slots,
     init_weights,
     load_weights,
     save_weights,
@@ -364,6 +365,23 @@ class TestFusion:
         with pytest.raises(StateError, match="already in deployed"):
             fuse_model(outcome.graph, outcome.store)
 
+    def test_bn_not_after_a_conv_is_refused(self):
+        graph = ModelGraph()
+        graph.add("x", "input", channels=3)
+        graph.add("norm", "bn", ("x",), channels=3)
+        graph.outputs = ("norm",)
+        with pytest.raises(StateError, match="bn node 'norm' does not follow a conv"):
+            fuse_model(graph, init_weights(graph))
+
+    def test_conv_without_a_trailing_bn_is_refused(self):
+        graph = ModelGraph()
+        graph.add("x", "input", channels=3)
+        graph.add("stem", "conv", ("x",), in_ch=3, out_ch=4, kernel=3, stride=1, groups=1)
+        graph.add("act", "silu", ("stem",))
+        graph.outputs = ("act",)
+        with pytest.raises(StateError, match="conv node 'stem' has no trailing bn"):
+            fuse_model(graph, init_weights(graph))
+
     def test_deployed_store_round_trips(self, tmp_path):
         graph, store = tiny_setup()
         outcome = fuse_model(graph, store)
@@ -449,6 +467,22 @@ class TestFusionOracle:
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
+    # sha256 of nano's weight files, init seed 5 with non-identity BN: a
+    # change to the fold arithmetic or to entry order must fail here
+    PINNED = {
+        "training": "e4a2137ed0837ac6693955f1baa942e6b6fcab09fedd1fca01422acd9056ca2f",
+        "deployed": "8753dc4faf14d92ca757624b7ba1a1ad6e20d2f60a2feb998afb2141fbdc0769",
+    }
+
+    def test_nano_weight_files_are_pinned(self, tmp_path):
+        graph = assemble(load_preset("nano"))
+        store = non_identity_bn_store(graph, seed=5)
+        stores = {"training": store, "deployed": fuse_model(graph, store).store}
+        for form, saved in stores.items():
+            path = tmp_path / f"{form}.mhwt"
+            save_weights(saved, path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED[form], form
+
     def test_deployed_binding_gives_the_folded_slots(self):
         """Binding a fused composite node gives, slot for slot, what
         fold_slot makes of the training-form slots: BN-free ConvUnits with
@@ -463,10 +497,10 @@ class TestFusionOracle:
             composite += 1
             folded = {
                 path: fold_slot(unit)
-                for path, unit in bind_slots(node, store, "training").items()
+                for path, unit in bind_node_weights(node, store, "training").items()
             }
             fused_node = outcome.graph.node(node.name)
-            bound = bind_slots(fused_node, outcome.store, "deployed")
+            bound = bind_node_weights(fused_node, outcome.store, "deployed")
             assert list(bound) == list(folded), node.name
             for path, want in folded.items():
                 got = bound[path]
