@@ -350,6 +350,8 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     oh, ow = _check_conv_args(x, kernel)
     b, cin = x.shape[:2]
     cout = kernel.out_channels
+    if not b:  # an empty batch has no tile rows to size chunks by
+        return np.empty((0, cout, oh, ow), dtype=np.float32)
     g = kernel.groups
     k, s, p = kernel.kernel_size, kernel.stride, kernel.padding
     w = kernel.weights

@@ -18,14 +18,13 @@ Store-level metadata (form, seed, config digest) rides along as a reserved
 entry named ``__meta__`` whose payload encodes a UTF-8 string one byte per
 float, keeping the container format uniform; a store may not use that name.
 
-The checksum runs lane-parallel, in levels: the main level interleaves
-``LANES`` lanes over the payload's words (lane l holds words l, l + LANES,
-...), so every row of one word per lane is a view of the buffer, and steps
-all lanes at once as numpy ``uint64`` vectors through 16-bit tables.  The
-lane CRCs are joined by GF(2) "append zero bytes" maps, as zlib's
-``crc32_combine`` does.  A narrower level takes the words past the last
-whole row, and a scalar slice-by-8 loop the last few KiB at most.  The
-result is the plain CRC-64/XZ, so the format is unchanged.  Loading
+The checksum runs lane-parallel: it interleaves ``LANES`` lanes over the
+payload's words (lane l holds words l, l + LANES, ...), with zero words
+padding the front to whole rows, so every row but the first is a view of
+the buffer, and steps all lanes at once as numpy ``uint64`` vectors through
+16-bit tables.  The lane CRCs are joined by GF(2) "append zero bytes" maps,
+as zlib's ``crc32_combine`` does, and the last 0-7 bytes go through a byte
+table.  The result is the plain CRC-64/XZ, so the format is unchanged.  Loading
 checks the version first, then verifies the checksum, then copies each
 entry once into its own aligned, writable float32 array.
 """
@@ -243,34 +242,32 @@ def bind_node_weights(node: Node, store: WeightStore, form: str):
 # CRC-64/XZ
 
 
-def _build_tables() -> list[list[int]]:
+def _byte_table() -> list[int]:
+    """Register images of the 256 byte values: one byte ``b`` steps the
+    register as ``crc = table[(crc ^ b) & 0xFF] ^ (crc >> 8)``."""
     poly = 0xC96C5795D7870F42
-    first = []
+    table = []
     for i in range(256):
         crc = i
         for _ in range(8):
             crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-        first.append(crc)
-    tables = [first]
-    for _ in range(7):
-        prev = tables[-1]
-        tables.append([first[c & 0xFF] ^ (c >> 8) for c in prev])
-    return tables
+        table.append(crc)
+    return table
 
 
-_TABLES = _build_tables()
+_TABLE = _byte_table()
 _MASK = 0xFFFFFFFFFFFFFFFF
-# Lane counts of the vector levels, main level first; each is a power of
-# two.  Lane l of a level holds words l, l + lanes, l + 2 * lanes, ... of
-# its input, so one row, a word per lane, is a contiguous run of the buffer.
-# The words past a level's last whole row go to the next level, and the
-# bytes past the last level's (under 8 * 256 + 8) to the scalar loop.
+# Lane count, a power of two.  Lane l holds words l, l + LANES, l + 2 * LANES,
+# ... of the input, so one row, a word per lane, is a contiguous run of the
+# buffer.
 LANES = 8192
-_LEVELS = (LANES, 256)
 # A linear map on the 64-bit register in table form: row j holds the images
-# of the 256 values of the register's byte j (least significant first).
-# The slice-by-8 step T is such a map, the one that appends 8 zero bytes.
-_STEP = np.array(_TABLES[::-1], dtype=np.uint64)
+# of the 256 values of the register's byte j (least significant first).  The
+# map that appends one zero byte sends byte 0 through the byte table and
+# every other byte j to byte j - 1.
+_ZERO_BYTE = np.array(
+    [_TABLE] + [[v << 8 * j for v in range(256)] for j in range(7)], dtype=np.uint64
+)
 _UNIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 # column of byte j, and of 16-bit half-word j, (least significant first) in
 # a uint8 and a uint16 view of a uint64
@@ -304,8 +301,9 @@ def _squarings(op: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
     return tuple(powers)
 
 
-# _T_POW[k] is T ** (2 ** k): the fold's maps and every level's row step
-_T_POW = _squarings(_STEP, LANES.bit_length())
+# _T_POW[k] is T ** (2 ** k), with T = _ZERO_BYTE ** 8 the map that appends
+# one zero word: the fold's maps, then the row step T ** LANES
+_T_POW = _squarings(_ZERO_BYTE, LANES.bit_length() + 3)[3:]
 
 
 def _wide_tables(op: np.ndarray) -> list[np.ndarray]:
@@ -337,80 +335,47 @@ def _apply_wide(
         out ^= tmp
 
 
-def _crc_scalar(crc: int, data: np.ndarray) -> int:
-    """Slice-by-8 over the bytes ``data`` from the raw register ``crc``."""
-    t0, t1, t2, t3, t4, t5, t6, t7 = _TABLES
-    n8 = data.size - data.size % 8
-    for word in data[:n8].view("<u8").tolist():
-        crc ^= word
-        crc = (
-            t7[crc & 0xFF]
-            ^ t6[(crc >> 8) & 0xFF]
-            ^ t5[(crc >> 16) & 0xFF]
-            ^ t4[(crc >> 24) & 0xFF]
-            ^ t3[(crc >> 32) & 0xFF]
-            ^ t2[(crc >> 40) & 0xFF]
-            ^ t1[(crc >> 48) & 0xFF]
-            ^ t0[(crc >> 56) & 0xFF]
-        )
-    for b in data[n8:].tolist():
-        crc = t0[(crc ^ b) & 0xFF] ^ (crc >> 8)
-    return crc
-
-
-def _crc_level(crc: int, words: np.ndarray, lanes: int) -> int:
-    """Register after the whole rows of ``words`` (little-endian words, at
-    least one row of ``lanes``) from the raw register ``crc``.
-
-    With T the slice-by-8 step, each row step appends one row's worth of
-    zero bytes to every lane, ``S = T ** lanes``, then xors the row in;
-    only lane 0 starts from ``crc``, the others from zero (raw, linear
-    CRCs).  Lane l then still lacks ``T ** (lanes - l)``, the steps of its
-    own last word and of the words after it in the last row, so adjacent
-    lanes fold pairwise, the left one through T, T², T⁴, ... per level, and
-    the folded register takes one final T.
-    """
-    rows = words.size // lanes
-    grid = words[: rows * lanes].reshape(rows, lanes)
-    step = _wide_tables(_T_POW[lanes.bit_length() - 1])
-    regs = grid[0].astype(np.uint64)
-    regs[0] ^= np.uint64(crc)
-    out, tmp = np.empty_like(regs), np.empty_like(regs)
-    for row in grid[1:]:
-        _apply_wide(step, regs, out, tmp)
-        np.bitwise_xor(out, row, out=regs)
-    for power in _T_POW:
-        if regs.size == 1:
-            break
-        pairs = regs.reshape(-1, 2)
-        regs = _apply(power, np.ascontiguousarray(pairs[:, 0])) ^ pairs[:, 1]
-    return int(_apply(_T_POW[0], regs)[0])
-
-
 def crc64_xz(data) -> int:
     """CRC-64/XZ (reflected, poly 0x42F0E1EBA9EA3693, init/xorout all-ones)
     of any bytes-like object; the check value of b"123456789" is
     0x995DC9BBDF1939FA.
 
-    The words run through the lane levels of ``_LEVELS`` (``LANES`` lanes,
-    then 256) in turn, each level starting from the register the one before
-    left.  A level of L lanes interleaves them (lane l holds words l,
-    l + L, ...), so each row of L words is a view of the buffer, not a
-    copy, and the row step applies ``T ** L`` (T the slice-by-8 step)
-    through 16-bit tables: four gathers from four 65536-entry tables that
-    each call builds per level.  CRCs are linear, so the lanes then fold
-    pairwise with the map that appends zero bytes (the technique of zlib's
-    ``crc32_combine``).  The bytes past the last level's whole rows, a few
-    KiB at most, take the scalar slice-by-8 loop.
+    The n whole 8-byte words run in ``LANES`` interleaved lanes (lane l
+    holds words l, l + LANES, ...).  A raw CRC from a zero register is
+    unchanged by leading zero words, so the words count as if
+    ``-n % LANES`` zero words came first, with the initial all-ones
+    register xored into the first real word: the first row is a
+    ``LANES``-word array, and every later row is a view of the buffer, not
+    a copy.  With T the map that appends one zero word, the row step
+    applies ``T ** LANES`` through 16-bit tables: four gathers from four
+    65536-entry tables built per call.  CRCs are linear, so adjacent lanes
+    then fold pairwise, the left one through T, T², T⁴, ... (the technique
+    of zlib's ``crc32_combine``), and the folded register takes one final
+    T.  The last 0-7 bytes go one at a time through the byte table.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    words = buf[: buf.size - buf.size % 8].view("<u8")
-    crc, done = _MASK, 0
-    for lanes in _LEVELS:
-        if words.size - done >= lanes:
-            crc = _crc_level(crc, words[done:], lanes)
-            done += (words.size - done) // lanes * lanes
-    return _crc_scalar(crc, buf[8 * done :]) ^ _MASK
+    n = buf.size // 8
+    words = buf[: 8 * n].view("<u8")
+    crc = _MASK
+    if n:
+        lead = -n % LANES
+        regs = np.zeros(LANES, dtype=np.uint64)
+        regs[lead:] = words[: LANES - lead]
+        regs[lead] ^= np.uint64(_MASK)
+        rows = words[LANES - lead :].reshape(-1, LANES)
+        if len(rows):
+            step = _wide_tables(_T_POW[-1])
+            out, tmp = np.empty_like(regs), np.empty_like(regs)
+            for row in rows:
+                _apply_wide(step, regs, out, tmp)
+                np.bitwise_xor(out, row, out=regs)
+        for power in _T_POW[:-1]:
+            pairs = regs.reshape(-1, 2)
+            regs = _apply(power, np.ascontiguousarray(pairs[:, 0])) ^ pairs[:, 1]
+        crc = int(_apply(_T_POW[0], regs)[0])
+    for b in buf[8 * n :].tolist():
+        crc = _TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
+    return crc ^ _MASK
 
 
 # ---------------------------------------------------------------------------

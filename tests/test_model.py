@@ -72,6 +72,17 @@ class TestForward:
         out = forward(graph, store, tiny_input(64, batch=3))
         assert out["p5"].shape[0] == 3
 
+    def test_empty_batch_in_both_forms(self):
+        graph, store = tiny_setup()
+        outcome = fuse_model(graph, store)
+        x = tiny_input(64, batch=0)
+        for g, s in ((graph, store), (outcome.graph, outcome.store)):
+            full = forward(g, s, tiny_input(64))
+            out = forward(g, s, x)
+            assert sorted(out) == sorted(full)
+            for level, arr in out.items():
+                assert arr.shape == (0, *full[level].shape[1:]), (g.form, level)
+
     def test_batch_elements_are_independent(self):
         graph, store = tiny_setup()
         x = tiny_input(64, batch=2)

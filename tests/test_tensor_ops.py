@@ -199,6 +199,16 @@ class TestConvFast:
         assert np.array_equal(after[1:], before[1:])
         assert not np.array_equal(after[0], before[0])
 
+    @pytest.mark.parametrize("groups", [16, 1], ids=["depthwise", "dense"])
+    def test_empty_batch_matches_naive(self, groups):
+        """A batch of no images gives the reference's empty NCHW result."""
+        rng = np.random.default_rng(307)
+        ker = random_kernel(rng, 16, 16, 5, groups=groups)
+        x = np.zeros((0, 16, 14, 18), dtype=np.float32)
+        fast, naive = conv2d_fast(x, ker), conv2d_naive(x, ker)
+        assert fast.shape == naive.shape == (0, 16, 14, 18)
+        assert fast.dtype == naive.dtype == np.float32
+
     def test_random_config_sweep(self):
         """Forty random shape/kernel configurations stay within tolerance of
         the reference implementation."""

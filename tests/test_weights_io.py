@@ -18,7 +18,6 @@ from mhaf.graph import assemble, graph_param_entries, node_param_entries
 from mhaf.model import fuse_model
 from mhaf.tensor import BNParams, ConvKernel
 from mhaf.weights import (
-    _LEVELS,
     LANES,
     WeightStore,
     bind_node_weights,
@@ -121,9 +120,7 @@ class TestChecksum:
 class TestLaneChecksum:
     """Lengths that reach the lane-parallel path, against the bitwise oracle."""
 
-    BLOCK = 8 * LANES  # one word per lane of the main level
-    # one row of each lane level, main level first
-    LEVEL_BLOCKS = tuple(8 * lanes for lanes in _LEVELS)
+    BLOCK = 8 * LANES  # one word per lane: one row
 
     def test_lane_block_boundaries(self):
         rng = np.random.default_rng(11)
@@ -132,19 +129,29 @@ class TestLaneChecksum:
             data = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
             assert crc64_xz(data) == crc64_bitwise(data), length
 
-    def test_every_level_block_boundary(self):
+    def test_word_counts_at_lane_edges(self):
+        # n % LANES of 0, 1 and LANES - 1: no zero words, LANES - 1 and one
+        # zero word lead the first row
         rng = np.random.default_rng(13)
-        for block in self.LEVEL_BLOCKS:
-            for length in (block - 1, block, block + 1):
+        for words in (LANES, 2 * LANES, LANES + 1, 2 * LANES + 1, 2 * LANES - 1):
+            data = rng.integers(0, 256, size=8 * words, dtype=np.uint8).tobytes()
+            assert crc64_xz(data) == crc64_bitwise(data), words
+
+    def test_fewer_words_than_lanes(self):
+        # the first row is the only one, so no row step runs
+        rng = np.random.default_rng(14)
+        for words in (1, 2, 5, 257, LANES - 1):
+            data = rng.integers(0, 256, size=8 * words, dtype=np.uint8).tobytes()
+            assert crc64_xz(data) == crc64_bitwise(data), words
+
+    def test_trailing_bytes(self):
+        # 1-7 bytes that fill no word, after one row and after several
+        rng = np.random.default_rng(17)
+        for words in (5, LANES + 3):
+            for tail in range(1, 8):
+                length = 8 * words + tail
                 data = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
                 assert crc64_xz(data) == crc64_bitwise(data), length
-
-    def test_remainder_at_every_level(self):
-        # whole rows of every level, then words that fill no row of the
-        # last level, then bytes that fill no word
-        length = sum(2 * b for b in self.LEVEL_BLOCKS) + 8 * 5 + 3
-        data = np.random.default_rng(14).integers(0, 256, size=length, dtype=np.uint8)
-        assert crc64_xz(data) == crc64_bitwise(data.tobytes())
 
     def test_any_bytes_like_input(self):
         rng = np.random.default_rng(12)
@@ -155,9 +162,10 @@ class TestLaneChecksum:
         assert crc64_xz(memoryview(data)[1:]) == expected
 
     def test_every_memoryview_offset(self):
-        # the same multi-block payload at each misaligned offset: every row
-        # of every level is then an unaligned view of the buffer
-        length = 2 * self.BLOCK + sum(self.LEVEL_BLOCKS[1:]) + 13
+        # the same multi-row payload at each misaligned offset: every row
+        # is then an unaligned view of the buffer; 6 words past the whole
+        # rows make zero words lead the first row, and 5 bytes fill no word
+        length = 2 * self.BLOCK + 8 * 6 + 5
         payload = np.random.default_rng(15).integers(0, 256, size=length, dtype=np.uint8)
         expected = crc64_bitwise(payload.tobytes())
         for offset in range(1, 8):
