@@ -94,3 +94,14 @@ def normalized_max_error(candidate, reference):
     c = np.asarray(candidate, dtype=np.float64)
     r = np.asarray(reference, dtype=np.float64)
     return float(np.abs(c - r).max() / (1.0 + np.abs(r).max()))
+
+
+def crc64_bitwise(data):
+    """Reference CRC-64/XZ: reflected polynomial, one bit at a time."""
+    poly = 0xC96C5795D7870F42
+    crc = 0xFFFFFFFFFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
+    return crc ^ 0xFFFFFFFFFFFFFFFF
