@@ -27,6 +27,7 @@ import sys
 
 import numpy as np
 
+from .blocks import MixerSpec
 from .config import PRESET_NAMES, resolve_config
 from .errors import MhafError, WeightFileError
 from .ghfks import KernelPlan, default_plan, rf_report, uniform_plan
@@ -34,13 +35,13 @@ from .graph import (
     assemble,
     count_params_flops,
     export_graph,
-    rephms_spec,
+    node_slots,
     shape_infer,
     validate_model,
 )
 from .model import benchmark_forward, forward, fuse_model
 from .records import format_records
-from .reparam import RepHConvSpec, verify_equivalence
+from .reparam import verify_equivalence
 from .weights import init_weights, load_weights, save_weights
 
 __all__ = ["main"]
@@ -255,17 +256,14 @@ def _cmd_fuse(args):
 
 def _cmd_verify(args):
     graph = assemble(_resolve_spec(args), _plan_from(args))
-    pairs = sorted({
-        (node.attrs["kernel"], rephms_spec(node).expanded_width)
-        for node in graph.nodes.values()
-        if node.kind == "rephms"
-    })
+    specs = sorted(
+        {slot.spec for node in graph for slot in node_slots(node).values()
+         if isinstance(slot, MixerSpec)},
+        key=lambda spec: (spec.main_kernel, spec.channels),
+    )
     reports = [
-        verify_equivalence(
-            RepHConvSpec(channels, kernel),
-            trials=args.trials, tolerance=args.tol, seed=args.seed,
-        )
-        for kernel, channels in pairs
+        verify_equivalence(spec, trials=args.trials, tolerance=args.tol, seed=args.seed)
+        for spec in specs
     ]
     records = [{"type": "equivalence", **r.to_record()} for r in reports]
     lines = [r.summary() for r in reports]

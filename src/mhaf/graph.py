@@ -359,11 +359,10 @@ def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int,
                 raise ShapeError(
                     f"node '{node.name}' expects {a['in_ch']} channels, got {c}"
                 )
-            pad = (a["kernel"] - 1) // 2
             shape = (
                 a["out_ch"],
-                conv_output_size(h, a["kernel"], a["stride"], pad),
-                conv_output_size(wd, a["kernel"], a["stride"], pad),
+                conv_output_size(h, a["stride"]),
+                conv_output_size(wd, a["stride"]),
             )
         elif kind in ("bn", "silu", "head"):
             shape = ins[0]

@@ -75,6 +75,11 @@ class _Plan:
         )
 
 
+# the plan last prepared for each live store; stores hash by identity, so a
+# copied or unpickled store starts without one and a dropped store drops its own
+_PLANS: weakref.WeakKeyDictionary[WeightStore, _Plan] = weakref.WeakKeyDictionary()
+
+
 def _plan_key(graph: ModelGraph, store: WeightStore) -> tuple:
     """What a plan depends on besides node and array identity: forms,
     config digests, outputs, each node's kind, inputs and attrs, and each
@@ -105,21 +110,23 @@ def forward(
     every node output is checked for finiteness so blow-ups name their node.
 
     The first call on a (graph, store) pair validates the store and binds
-    every node once; the store keeps that plan and later calls reuse it.  A
-    plan is reused only for the same graph object whose form, outputs and
-    nodes (identity, kind, inputs, attrs) are unchanged, with a store whose
-    form, config digest and entries (names, array objects, shapes, dtypes)
-    are unchanged; any other call prepares afresh.  Writing into an entry
-    array in place needs no new plan: bound weights are the store's arrays.
+    every node once; this module keeps that plan for as long as the store
+    object lives (a copy or an unpickled store starts without one), and
+    later calls reuse it.  A plan is reused only for the same graph object
+    whose form, outputs and nodes (identity, kind, inputs, attrs) are
+    unchanged, with a store whose form, config digest and entries (names,
+    array objects, shapes, dtypes) are unchanged; any other call prepares
+    afresh.  Writing into an entry array in place needs no new plan: bound
+    weights are the store's arrays.
 
     ``use_naive_conv`` runs the graph's own ``conv`` nodes through
     :func:`conv2d_naive`; convolutions inside composite nodes (``rephms``,
     ``saf``, ``aaf``) always take :func:`conv2d_fast`.
     """
     check_tensor4(x)
-    plan = store._plan
+    plan = _PLANS.get(store)
     if plan is None or not plan.fits(graph, store):
-        plan = store._plan = _Plan(graph, store)
+        plan = _PLANS[store] = _Plan(graph, store)
     conv_fn = conv2d_naive if use_naive_conv else conv2d_fast
 
     for node in plan.inputs:

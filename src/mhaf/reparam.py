@@ -9,8 +9,8 @@ largest kernel size:
 * fold each branch's BN into its conv weights/bias,
 * sum weights and biases across branches, each smaller kernel added into
   the centred window of its size: zero-padding a kernel to the main size
-  keeps the output map identical as long as the conv padding grows by the
-  same amount.
+  keeps the output map identical, because a conv's padding is half its
+  kernel size (``ConvKernel.padding``) and so grows by the same amount.
 
 The functions here implement those steps plus a self-contained
 numerical equivalence check used by tests and the command-line tool.
@@ -128,7 +128,6 @@ def fuse_conv_bn(kernel: ConvKernel, bn: BNParams) -> ConvKernel:
         weights=weights,
         bias=bias.astype(np.float32),
         stride=kernel.stride,
-        padding=kernel.padding,
         groups=kernel.groups,
     )
 
@@ -149,13 +148,7 @@ def merge_heterogeneous(weights: RepHConvWeights) -> ConvKernel:
         m = (main_k - kernel.kernel_size) // 2
         acc_w[:, :, m : main_k - m, m : main_k - m] += folded.weights
         acc_b += folded.bias
-    return ConvKernel(
-        weights=acc_w,
-        bias=acc_b,
-        stride=1,
-        padding=(main_k - 1) // 2,
-        groups=spec.channels,
-    )
+    return ConvKernel(weights=acc_w, bias=acc_b, groups=spec.channels)
 
 
 def rephconv_forward(x: np.ndarray, weights: RepHConvWeights) -> np.ndarray:

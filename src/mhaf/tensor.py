@@ -79,15 +79,17 @@ class ConvKernel:
         kernel must be square with odd ``k``.
     bias:
         ``(out_channels,)`` float32.  Defaults to zeros.
-    stride, padding, groups:
-        Usual conv hyper-parameters.  ``padding`` defaults to
-        ``(k - 1) // 2`` which preserves spatial size at stride 1.
+    stride, groups:
+        Usual conv hyper-parameters.
+
+    Every conv pads each side by :attr:`padding`, ``(k - 1) // 2``: it
+    preserves spatial size at stride 1 and centres a smaller kernel's
+    window in a larger one's, which the heterogeneous-kernel merge rests on.
     """
 
     weights: np.ndarray
     bias: np.ndarray | None = None
     stride: int = 1
-    padding: int | None = None
     groups: int = 1
 
     def __post_init__(self):
@@ -99,8 +101,6 @@ class ConvKernel:
         if w.shape[2] % 2 == 0:
             raise KernelError(f"kernel size must be odd, got {w.shape[2]}")
         self.weights = w
-        if self.padding is None:
-            self.padding = (w.shape[2] - 1) // 2
         if self.bias is None:
             self.bias = np.zeros(w.shape[0], dtype=np.float32)
         else:
@@ -112,8 +112,6 @@ class ConvKernel:
             self.bias = b
         if self.stride < 1:
             raise KernelError(f"stride must be >= 1, got {self.stride}")
-        if self.padding < 0:
-            raise KernelError(f"padding must be >= 0, got {self.padding}")
         if self.groups < 1:
             raise KernelError(f"groups must be >= 1, got {self.groups}")
         if w.shape[0] % self.groups != 0:
@@ -132,6 +130,10 @@ class ConvKernel:
     @property
     def kernel_size(self) -> int:
         return self.weights.shape[2]
+
+    @property
+    def padding(self) -> int:
+        return (self.kernel_size - 1) // 2
 
 
 @dataclass(eq=False)
@@ -181,13 +183,12 @@ class BNParams:
         )
 
 
-def conv_output_size(size: int, k: int, stride: int, padding: int) -> int:
-    """Spatial output extent of a convolution along one axis."""
-    if size + 2 * padding < k:
-        raise ShapeError(
-            f"input extent {size} with padding {padding} is smaller than kernel {k}"
-        )
-    return (size + 2 * padding - k) // stride + 1
+def conv_output_size(size: int, stride: int) -> int:
+    """Spatial output extent of a same-padded convolution along one axis:
+    the kernel size cancels against its padding."""
+    if size < 1:
+        raise ShapeError(f"input extent must be at least 1, got {size}")
+    return (size - 1) // stride + 1
 
 
 def _check_conv_args(x: np.ndarray, kernel: ConvKernel) -> tuple[int, int]:
@@ -198,9 +199,8 @@ def _check_conv_args(x: np.ndarray, kernel: ConvKernel) -> tuple[int, int]:
             f"input has {x.shape[1]} channels but kernel expects {cin} "
             f"(input shape {x.shape}, weight shape {kernel.weights.shape})"
         )
-    oh = conv_output_size(x.shape[2], kernel.kernel_size, kernel.stride, kernel.padding)
-    ow = conv_output_size(x.shape[3], kernel.kernel_size, kernel.stride, kernel.padding)
-    return oh, ow
+    s = kernel.stride
+    return conv_output_size(x.shape[2], s), conv_output_size(x.shape[3], s)
 
 
 def conv2d_naive(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
@@ -332,13 +332,13 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     takes (contiguous, or views with non-overlapping rows).  Stride-1
     depthwise kernels (groups == in == out channels) multiply copied,
     overlapping input tile rows by a banded matrix of the taps
-    (:func:`_depthwise_band`); with same padding, the outer rings of taps
-    that can only read padding (those more than ``max(H, W) - 1`` off
-    centre) are cropped first, so a 9x9 kernel on a 3x3 map runs as 5x5.
-    Every other conv (pointwise, dense, grouped, channel-multiplier or
-    strided depthwise, any padding) multiplies the grouped weights with
-    im2col patch columns (:func:`_im2col`).  An all-zero bias is not
-    added; the check runs on every call.
+    (:func:`_depthwise_band`); the outer rings of taps that can only read
+    padding (those more than ``max(H, W) - 1`` off centre) are cropped
+    first, so a 9x9 kernel on a 3x3 map runs as 5x5.  Every other conv
+    (pointwise, dense, grouped, channel-multiplier or strided depthwise)
+    multiplies the grouped weights with im2col patch columns
+    (:func:`_im2col`).  An all-zero bias is not added; the check runs on
+    every call.
 
     For finite inputs the result matches :func:`conv2d_naive` within
     float32 rounding.  For non-finite inputs, every output that
@@ -356,7 +356,7 @@ def conv2d_fast(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     k, s, p = kernel.kernel_size, kernel.stride, kernel.padding
     w = kernel.weights
     dw = g == cin == cout and s == 1
-    if dw and 2 * p == k - 1:
+    if dw:
         # a ring of taps more than max(H, W) - 1 off centre reads only padding
         crop = max(0, p - max(x.shape[2:]) + 1)
         w, p = w[:, :, crop : k - crop, crop : k - crop], p - crop

@@ -75,13 +75,6 @@ class WeightStore:
     form: str = "training"
     seed: int | None = None
     spec_digest: str | None = None
-    # the forward plan last prepared for this store (see mhaf.model.forward)
-    _plan: object = field(default=None, init=False, repr=False)
-
-    def __getstate__(self):
-        # a plan is derived state tied to one graph object: copies and
-        # pickles start without one
-        return {**self.__dict__, "_plan": None}
 
     def __getitem__(self, name: str) -> np.ndarray:
         try:

@@ -17,6 +17,7 @@ from mhaf.tensor import BNParams, ConvKernel, batchnorm_infer, conv2d_fast, conv
 from mhaf.weights import init_weights
 
 from oracles import normalized_max_error
+from test_model import non_identity_bn_store
 
 
 def report(capsys, name: str, passed: bool, detail: str) -> None:
@@ -145,6 +146,34 @@ def test_04_end_to_end_fusion(capsys):
         f"stored floats {outcome.params_before:,} -> {outcome.params_after:,}"
     )
     report(capsys, "end-to-end-fusion", ok, detail)
+    assert ok, detail
+
+
+def test_11_fusion_with_non_identity_bn(capsys):
+    """Whole-model fusion of a nano whose batchnorms are not identity
+    transforms preserves every head within a relative error of 1e-4.  Its
+    heads reach about 1.5e3, where float32 rounding alone nears test 04's
+    absolute bound, so the error is judged relative to the maps' range."""
+    graph = assemble(load_preset("nano"))
+    store = non_identity_bn_store(graph, seed=0)
+    outcome = fuse_model(graph, store)
+    rng = np.random.default_rng(123)
+    worst, deviation = {}, 0.0
+    for _ in range(3):
+        x = rng.standard_normal((1, 3, 320, 320)).astype(np.float32)
+        before = forward(graph, store, x)
+        after = forward(outcome.graph, outcome.store, x)
+        for level in before:
+            err = normalized_max_error(after[level], before[level])
+            worst[level] = max(worst.get(level, 0.0), err)
+            deviation = max(deviation, float(np.max(np.abs(before[level] - after[level]))))
+    ok = all(err <= 1e-4 for err in worst.values())
+    detail = (
+        "3 inputs at 320x320, non-identity BN: worst relative error "
+        + ", ".join(f"{level} {err:.2e}" for level, err in worst.items())
+        + f" (tol 1e-04); max |deviation| {deviation:.2e}"
+    )
+    report(capsys, "bn-stats-fusion", ok, detail)
     assert ok, detail
 
 

@@ -1,5 +1,8 @@
 """Tests for the kernel-size schedule and the receptive-field analyzer."""
 
+import math
+
+import numpy as np
 import pytest
 
 from mhaf.config import PRESET_NAMES, load_preset
@@ -11,8 +14,8 @@ from mhaf.ghfks import (
     rf_report,
     uniform_plan,
 )
-from mhaf.graph import ModelGraph, assemble
-from mhaf.model import fuse_model
+from mhaf.graph import ModelGraph, assemble, graph_param_entries
+from mhaf.model import forward, fuse_model
 from mhaf.weights import init_weights
 
 
@@ -189,3 +192,55 @@ class TestModelReceptiveField:
         entry = rf_report(assemble(load_preset("nano")))[0]
         rec = entry.to_record()
         assert rec == {"node": "head.p3", "rf": 871, "stride": 8}
+
+
+class TestReceptiveFieldThroughForward:
+    """The input columns that reach the central output column of each head
+    of all-3x3 nano, found through ``forward``, fit in the head's ``rf``.
+
+    Every conv weight is ``1/fan_in``, and ``init_weights`` leaves BNs as
+    identities and biases at zero, so no value goes negative and an output
+    is non-zero exactly when its window meets a non-zero input.  Underflow
+    could only hide taps, so the measured window is a lower bound.  At this
+    width the default schedule's P5 window reaches both input edges."""
+
+    WIDTH = 1024
+
+    @pytest.fixture(scope="class")
+    def nano_3x3(self):
+        graph = assemble(load_preset("nano"), uniform_plan(3))
+        store = init_weights(graph)
+        for entry in graph_param_entries(graph):
+            if entry.kind == "conv_weight":
+                fan_in = math.prod(entry.shape[1:])
+                store.entries[entry.name] = np.full(entry.shape, 1 / fan_in, np.float32)
+        return graph, store
+
+    @pytest.mark.parametrize(
+        "level",
+        ["p3", "p4", pytest.param("p5", marks=pytest.mark.xfail(reason="ROADMAP item 10"))],
+    )
+    def test_measured_window_fits_rf(self, nano_3x3, level):
+        graph, store = nano_3x3
+        entry = receptive_field(graph)[f"head.{level}"]
+        col = (self.WIDTH // entry.stride) // 2
+
+        def reaches(ones: slice) -> bool:
+            x = np.zeros((1, 3, 32, self.WIDTH), np.float32)
+            x[..., ones] = 1
+            return bool(forward(graph, store, x)[level][..., col].any())
+
+        # bisect for the last column whose right half-plane reaches col ...
+        lo, hi = 0, self.WIDTH
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if reaches(slice(mid, None)) else (lo, mid)
+        right = lo
+        # ... and the first whose left half-plane does
+        lo, hi = -1, self.WIDTH - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if reaches(slice(None, mid + 1)) else (mid, hi)
+        left = hi
+        assert 0 < left and right < self.WIDTH - 1, "the window meets an input edge"
+        assert right - left + 1 <= entry.rf, f"columns {left}..{right} reach column {col}"

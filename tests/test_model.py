@@ -332,11 +332,20 @@ class TestPlan:
         assert ref() is None
         assert_same_outputs(forward(assemble(load_preset("lite-nano")), store, x), want)
 
+    def test_plan_does_not_keep_a_dropped_store_alive(self):
+        graph, store = tiny_setup()
+        forward(graph, store, tiny_input())
+        ref = weakref.ref(store)
+        del store
+        gc.collect()
+        assert ref() is None
+
     def test_store_with_a_plan_copies_and_pickles(self):
         graph, store = tiny_setup()
         x = tiny_input()
         want = forward(graph, store, x)
         for twin in (copy.copy(store), pickle.loads(pickle.dumps(store))):
+            assert twin not in mhaf.model._PLANS
             assert_same_outputs(forward(graph, twin, x), want)
 
 

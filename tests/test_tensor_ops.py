@@ -97,13 +97,13 @@ class TestConvNaive:
         assert "(1, 5, 8, 8)" in str(exc.value)
         assert "(4, 4, 3, 3)" in str(exc.value)
 
-    def test_kernel_larger_than_padded_input_rejected(self):
-        rng = np.random.default_rng(12)
-        x = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
-        w = rng.standard_normal((2, 2, 7, 7)).astype(np.float32)
-        ker = ConvKernel(weights=w, padding=0)
-        with pytest.raises(ShapeError):
-            conv2d_naive(x, ker)
+    def test_zero_extent_input_rejected(self):
+        # same padding fits any kernel to any input of extent >= 1
+        x = np.zeros((1, 2, 0, 4), dtype=np.float32)
+        ker = random_kernel(np.random.default_rng(12), 2, 2, 7)
+        for conv in (conv2d_naive, conv2d_fast):
+            with pytest.raises(ShapeError, match="extent must be at least 1, got 0"):
+                conv(x, ker)
 
 
 # (cin, cout, k, stride, groups, (h, w)[, parts]); inputs have batch 2.  With
