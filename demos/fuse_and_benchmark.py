@@ -60,10 +60,8 @@ print(f"max forward gap at 320x320: {gap:.2e}")
 
 # and it is faster, because every BN multiply-add is gone and every
 # mixer runs one kernel instead of four
-training = benchmark_forward(graph, store, x, "training", warmups=2, iterations=9)
-deployed = benchmark_forward(
-    outcome.graph, outcome.store, x, "deployed", warmups=2, iterations=9
-)
+training = benchmark_forward(graph, store, x, "training", iterations=9)
+deployed = benchmark_forward(outcome.graph, outcome.store, x, "deployed", iterations=9)
 print(f"\ntraining median {training.median_seconds * 1e3:6.1f} ms")
 print(f"deployed median {deployed.median_seconds * 1e3:6.1f} ms")
 print(f"speedup {training.median_seconds / deployed.median_seconds:.2f}x")

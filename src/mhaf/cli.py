@@ -1,8 +1,7 @@
 """Command-line interface.
 
-Every command takes a model config, given either as a positional argument
-(a preset name like ``nano`` or a path to a YAML file) or via ``--config``;
-supplying both, or neither, is a usage error.
+Every command takes a model config as its first positional argument: a
+preset name like ``nano`` or a path to a YAML file.
 
 Each command builds its report twice over the same facts: a list of
 records (flat dicts) and a list of text lines, and returns them with its
@@ -47,20 +46,6 @@ from .weights import init_weights, load_weights, save_weights
 __all__ = ["main"]
 
 
-def _add_config_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "config",
-        nargs="?",
-        help=f"preset name ({', '.join(PRESET_NAMES)}) or path to a YAML config",
-    )
-    sub.add_argument(
-        "--config",
-        dest="config_path",
-        metavar="PATH",
-        help="alternative to the positional config argument",
-    )
-
-
 def _add_format_arg(sub: argparse.ArgumentParser, choices=("text", "records")) -> None:
     sub.add_argument(
         "--format",
@@ -103,13 +88,6 @@ def _at_least(minimum: int, convert=int):
     return number
 
 
-def _resolve_spec(args):
-    positional, flagged = args.config, args.config_path
-    if (positional is None) == (flagged is None):
-        args.parser.error("give a config either positionally or with --config, not both")
-    return resolve_config(positional if positional is not None else flagged)
-
-
 def _plan_from(args) -> KernelPlan:
     if getattr(args, "uniform", None) is not None:
         return uniform_plan(args.uniform)
@@ -135,7 +113,7 @@ def _seeded_inputs(seed: int, count: int, size: int):
 
 
 def _cmd_validate(args):
-    checks = validate_model(_resolve_spec(args), _plan_from(args))
+    checks = validate_model(resolve_config(args.config), _plan_from(args))
     records = [
         {"type": "check", "name": c.name, "passed": c.passed, "detail": c.detail}
         for c in checks
@@ -150,7 +128,7 @@ def _cmd_validate(args):
 
 
 def _cmd_shapes(args):
-    spec = _resolve_spec(args)
+    spec = resolve_config(args.config)
     graph = assemble(spec)
     size = args.input or spec.input_size
     shapes = shape_infer(graph, size)
@@ -176,7 +154,7 @@ def _cmd_shapes(args):
 
 
 def _cmd_plan(args):
-    _resolve_spec(args)  # config is accepted for interface consistency
+    resolve_config(args.config)  # config is accepted for interface consistency
     plan = _plan_from(args)
     problem = None
     try:
@@ -197,19 +175,19 @@ def _cmd_plan(args):
 
 
 def _cmd_rf(args):
-    entries = rf_report(assemble(_resolve_spec(args), _plan_from(args)))
+    entries = rf_report(assemble(resolve_config(args.config), _plan_from(args)))
     records = [{"type": "rf", **e.to_record()} for e in entries]
     lines = [f"{e.node}  stride {e.stride:<3} rf {e.rf}" for e in entries]
     return records, lines, 0
 
 
 def _cmd_export(args):
-    graph = assemble(_resolve_spec(args), _plan_from(args))
+    graph = assemble(resolve_config(args.config), _plan_from(args))
     return export_graph(graph, "records"), export_graph(graph, "dot").splitlines(), 0
 
 
 def _cmd_init(args):
-    store = init_weights(assemble(_resolve_spec(args)), seed=args.seed)
+    store = init_weights(assemble(resolve_config(args.config)), seed=args.seed)
     save_weights(store, args.weights_out)
     size = os.path.getsize(args.weights_out)
     records = [{
@@ -224,7 +202,7 @@ def _cmd_init(args):
 
 
 def _cmd_fuse(args):
-    graph = assemble(_resolve_spec(args))
+    graph = assemble(resolve_config(args.config))
     store = _training_store(args, graph)
     outcome = fuse_model(graph, store)
     deviation = 0.0
@@ -255,7 +233,7 @@ def _cmd_fuse(args):
 
 
 def _cmd_verify(args):
-    graph = assemble(_resolve_spec(args), _plan_from(args))
+    graph = assemble(resolve_config(args.config), _plan_from(args))
     specs = sorted(
         {slot.spec for node in graph for slot in node_slots(node).values()
          if isinstance(slot, MixerSpec)},
@@ -276,7 +254,7 @@ def _cmd_verify(args):
 
 
 def _cmd_bench(args):
-    graph = assemble(_resolve_spec(args))
+    graph = assemble(resolve_config(args.config))
     store = _training_store(args, graph)
     x = next(_seeded_inputs(args.seed, 1, args.input))
     training = benchmark_forward(graph, store, x, "training", iterations=args.trials)
@@ -317,8 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, help_text):
         sub = subs.add_parser(name, help=help_text, description=help_text)
-        _add_config_args(sub)
-        sub.set_defaults(handler=handler, parser=sub)
+        sub.add_argument(
+            "config", help=f"preset name ({', '.join(PRESET_NAMES)}) or path to a YAML config"
+        )
+        sub.set_defaults(handler=handler)
         return sub
 
     sub = command("validate", _cmd_validate, "run structural checks on a model config")

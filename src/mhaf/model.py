@@ -19,6 +19,8 @@ from .weights import WeightStore, bind_node_weights, validate_store
 
 __all__ = ["forward", "fuse_model", "FusionOutcome", "benchmark_forward", "BenchResult"]
 
+WARMUPS = 5  # untimed forwards before benchmark_forward's timed ones
+
 
 def _eval_node(node: Node, ins: list[np.ndarray], bound, conv_fn) -> np.ndarray:
     kind = node.kind
@@ -56,8 +58,7 @@ class _Plan:
                 done[i].append(src)
         self.inputs = [node for node in nodes if node.kind == "input"]
         self.steps = [
-            (node, None if node.kind == "input" else bind_node_weights(node, store, graph.form),
-             done[i])
+            (node, None if node.kind == "input" else bind_node_weights(node, store), done[i])
             for i, node in enumerate(nodes)
         ]
         self.levels = [(out, graph.node(out).attrs.get("level", out)) for out in graph.outputs]
@@ -205,14 +206,14 @@ def fuse_model(graph: ModelGraph, store: WeightStore) -> FusionOutcome:
         if node.kind == "bn":
             continue
         attrs = dict(node.attrs)
-        units = bind_node_weights(node, store, "training")
+        units = bind_node_weights(node, store)
         if node.kind == "conv":
             if node.name not in bn_of:
                 raise StateError(
                     f"conv node '{node.name}' has no trailing bn to fold"
                 )
             attrs["bias"] = True
-            bn = bind_node_weights(bn_of[node.name], store, "training")
+            bn = bind_node_weights(bn_of[node.name], store)
             units = {node.name: ConvUnit(kernel=units, bn=bn, act=False)}
         inputs = tuple(conv_of.get(i, i) for i in node.inputs)
         fused = fused_graph.add(node.name, node.kind, inputs, **attrs)
@@ -240,7 +241,6 @@ class BenchResult:
 
     label: str
     input_shape: tuple[int, ...]
-    warmups: int
     iterations: int
     median_seconds: float
     min_seconds: float
@@ -250,7 +250,7 @@ class BenchResult:
         return {
             "label": self.label,
             "input": "x".join(str(d) for d in self.input_shape),
-            "warmups": self.warmups,
+            "warmups": WARMUPS,
             "iterations": self.iterations,
             "median_seconds": self.median_seconds,
             "min_seconds": self.min_seconds,
@@ -263,16 +263,13 @@ def benchmark_forward(
     store: WeightStore,
     x: np.ndarray,
     label: str,
-    warmups: int = 5,
     iterations: int = 31,
 ) -> BenchResult:
-    """Median-of-N timing after warmup runs (median resists scheduler
-    noise better than the mean)."""
+    """Median-of-N timing after :data:`WARMUPS` untimed runs (median resists
+    scheduler noise better than the mean)."""
     if iterations < 1:
         raise ConfigError(f"iterations must be at least 1, got {iterations}")
-    if warmups < 0:
-        raise ConfigError(f"warmups must be at least 0, got {warmups}")
-    for _ in range(warmups):
+    for _ in range(WARMUPS):
         forward(graph, store, x)
     samples = []
     for _ in range(iterations):
@@ -282,7 +279,6 @@ def benchmark_forward(
     return BenchResult(
         label=label,
         input_shape=tuple(x.shape),
-        warmups=warmups,
         iterations=iterations,
         median_seconds=float(np.median(samples)),
         min_seconds=float(min(samples)),

@@ -29,7 +29,10 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import KernelError, ShapeError
 
+BN_EPS = 1e-5  # the variance offset of every batch norm
+
 __all__ = [
+    "BN_EPS",
     "ConvKernel",
     "BNParams",
     "to_tensor4",
@@ -141,14 +144,13 @@ class BNParams:
     """Inference-time batch-norm statistics and affine parameters.
 
     All vectors have shape ``(channels,)``.  The transform applied is
-    ``gamma * (x - mean) / sqrt(var + eps) + beta``.
+    ``gamma * (x - mean) / sqrt(var + BN_EPS) + beta``.
     """
 
     mean: np.ndarray
     var: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
-    eps: float = 1e-5
 
     def __post_init__(self):
         vecs = {}
@@ -165,8 +167,6 @@ class BNParams:
             )
         for name, v in vecs.items():
             setattr(self, name, v)
-        if self.eps <= 0:
-            raise ShapeError(f"BN eps must be positive, got {self.eps}")
 
     @property
     def channels(self) -> int:
@@ -385,7 +385,7 @@ def batchnorm_infer(x: np.ndarray, bn: BNParams) -> np.ndarray:
         raise ShapeError(
             f"input has {x.shape[1]} channels but BN carries {bn.channels}"
         )
-    scale = bn.gamma / np.sqrt(bn.var + np.float32(bn.eps))
+    scale = bn.gamma / np.sqrt(bn.var + np.float32(BN_EPS))
     shift = bn.beta - bn.mean * scale
     out = x * scale[None, :, None, None]
     out += shift[None, :, None, None]

@@ -191,18 +191,18 @@ def _bn(arrays: dict) -> BNParams | None:
     )
 
 
-def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, form: str):
-    """Materialize one weighted slot of a composite node, in the given form,
-    from the entries :func:`mhaf.graph.slot_entries` lists for it.  A
+def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec):
+    """Materialize one weighted slot of a composite node, in the store's
+    form, from the entries :func:`mhaf.graph.slot_entries` lists for it.  A
     conv-unit slot binds as a dense ConvUnit (stride and activation from
     the slot).  A mixer slot binds as RepHConvWeights in training form and,
     deployed, as the unit :func:`mhaf.blocks.fold_slot` gives it: one
     unactivated stride-1 depthwise ConvUnit."""
-    convs = _by_kind(store, slot_entries(prefix, slot, form))
+    convs = _by_kind(store, slot_entries(prefix, slot, store.form))
     if isinstance(slot, MixerSpec):
         spec = slot.spec
         branches = [(_kernel(a, 1, spec.channels), _bn(a)) for a in convs]
-        if form == "deployed":
+        if store.form == "deployed":
             ((fused, _),) = branches
             return ConvUnit(kernel=fused, act=False)
         return RepHConvWeights(spec=spec, branches=branches)
@@ -211,19 +211,19 @@ def bind_slot(store: WeightStore, prefix: str, slot: ConvUnitSpec | MixerSpec, f
     return ConvUnit(kernel=kernel, bn=_bn(arrays), act=slot.act)
 
 
-def bind_node_weights(node: Node, store: WeightStore, form: str):
-    """Materialize the structured weights of one graph node from the
-    entries :func:`mhaf.graph.node_param_entries` lists for it.  Returns a
-    ConvKernel (stride and groups from the node's attrs), BNParams, or, for
-    any other kind, {slot path: :func:`bind_slot` result} for every weighted
-    slot in slot order (empty for weightless kinds)."""
+def bind_node_weights(node: Node, store: WeightStore):
+    """Materialize the structured weights of one graph node, in the store's
+    form, from the entries :func:`mhaf.graph.node_param_entries` lists for
+    it.  Returns a ConvKernel (stride and groups from the node's attrs),
+    BNParams, or, for any other kind, {slot path: :func:`bind_slot` result}
+    for every weighted slot in slot order (empty for weightless kinds)."""
     if node.kind in ("conv", "bn"):
-        (arrays,) = _by_kind(store, node_param_entries(node, form))
+        (arrays,) = _by_kind(store, node_param_entries(node, store.form))
         if node.kind == "bn":
             return _bn(arrays)
         return _kernel(arrays, node.attrs["stride"], node.attrs["groups"])
     return {
-        slot.path: bind_slot(store, prefix, slot, form)
+        slot.path: bind_slot(store, prefix, slot)
         for prefix, slot in node_slots(node).items()
     }
 

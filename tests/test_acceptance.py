@@ -266,11 +266,9 @@ def test_09_benchmark_sanity(capsys):
     graph = assemble(load_preset("nano"))
     store = init_weights(graph, seed=0)
     x = np.random.default_rng(7).standard_normal((1, 3, 320, 320)).astype(np.float32)
-    training = benchmark_forward(graph, store, x, "training", warmups=5, iterations=31)
+    training = benchmark_forward(graph, store, x, "training", iterations=31)
     outcome = fuse_model(graph, store)
-    deployed = benchmark_forward(
-        outcome.graph, outcome.store, x, "deployed", warmups=5, iterations=31
-    )
+    deployed = benchmark_forward(outcome.graph, outcome.store, x, "deployed", iterations=31)
     ok = deployed.median_seconds <= training.median_seconds
     detail = (
         f"median of 31 at 320x320: training {training.median_seconds * 1e3:.1f} ms, "

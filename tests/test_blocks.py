@@ -110,7 +110,7 @@ class TestBlock:
         for node in graph:
             if node.kind != "rephms":
                 continue
-            units = bind_node_weights(node, store, "training")
+            units = bind_node_weights(node, store)
             for path, unit in units.items():
                 if path.endswith(".proj"):
                     assert unit.act is False and unit.bn is not None, (node.name, path)

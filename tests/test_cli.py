@@ -63,11 +63,6 @@ class TestUsageErrors:
             main(["rf"])
         assert exc.value.code == 2
 
-    def test_config_given_twice(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["rf", "nano", "--config", "other.yaml"])
-        assert exc.value.code == 2
-
     def test_unknown_preset_is_a_validation_error(self, capsys):
         code, _, err = run(capsys, "rf", "giant")
         assert code == 1
@@ -171,15 +166,15 @@ class TestInspection:
         assert code == 1
         assert "32" in err
 
-    def test_config_flag_is_equivalent_to_positional(self, capsys, tmp_path):
+    def test_yaml_path_is_equivalent_to_preset_name(self, capsys, tmp_path):
         _, by_name, _ = run(capsys, "rf", "nano")
         from mhaf.config import load_preset, serialize_config
 
         path = tmp_path / "nano.yaml"
         path.write_text(serialize_config(load_preset("nano")))
-        code, by_flag, _ = run(capsys, "rf", "--config", str(path))
+        code, by_path, _ = run(capsys, "rf", str(path))
         assert code == 0
-        assert by_flag == by_name
+        assert by_path == by_name
 
 
 class TestExport:

@@ -194,9 +194,9 @@ def count_prepare_calls(monkeypatch) -> Counter:
         counts["validate_store"] += 1
         return validate(graph, store)
 
-    def counting_bind(node, store, form):
+    def counting_bind(node, store):
         counts[node.name] += 1
-        return bind(node, store, form)
+        return bind(node, store)
 
     monkeypatch.setattr(mhaf.model, "validate_store", counting_validate)
     monkeypatch.setattr(mhaf.model, "bind_node_weights", counting_bind)
@@ -450,10 +450,10 @@ def deployed_entries_by_hand(graph, store):
             out[f"{prefix}.conv.bias"] = folded.bias
 
     for node in graph:
-        bound = bind_node_weights(node, store, "training")
+        bound = bind_node_weights(node, store)
         if node.kind == "conv":
             (bn,) = [n for n in graph if n.inputs == (node.name,)]
-            folded = fuse_conv_bn(bound, bind_node_weights(bn, store, "training"))
+            folded = fuse_conv_bn(bound, bind_node_weights(bn, store))
             out[f"{node.name}.weight"] = folded.weights
             out[f"{node.name}.bias"] = folded.bias
         elif node.kind == "rephms":
@@ -517,10 +517,10 @@ class TestFusionOracle:
             composite += 1
             folded = {
                 path: fold_slot(unit)
-                for path, unit in bind_node_weights(node, store, "training").items()
+                for path, unit in bind_node_weights(node, store).items()
             }
             fused_node = outcome.graph.node(node.name)
-            bound = bind_node_weights(fused_node, outcome.store, "deployed")
+            bound = bind_node_weights(fused_node, outcome.store)
             assert list(bound) == list(folded), node.name
             for path, want in folded.items():
                 got = bound[path]
@@ -599,9 +599,7 @@ class TestShapeProperty:
 class TestBenchmark:
     def test_result_fields(self):
         graph, store = tiny_setup()
-        res = benchmark_forward(
-            graph, store, tiny_input(64), "training", warmups=1, iterations=3
-        )
+        res = benchmark_forward(graph, store, tiny_input(64), "training", iterations=3)
         assert res.label == "training"
         assert res.input_shape == (1, 3, 64, 64)
         assert res.iterations == 3
@@ -609,7 +607,6 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("counts, message", [
         ({"iterations": 0}, "iterations must be at least 1, got 0"),
-        ({"warmups": -1}, "warmups must be at least 0, got -1"),
     ])
     def test_bad_counts_rejected_before_any_forward(self, monkeypatch, counts, message):
         graph, store = tiny_setup()
@@ -621,9 +618,7 @@ class TestBenchmark:
 
     def test_record_is_flat(self):
         graph, store = tiny_setup()
-        res = benchmark_forward(
-            graph, store, tiny_input(64), "training", warmups=0, iterations=1
-        )
+        res = benchmark_forward(graph, store, tiny_input(64), "training", iterations=1)
         rec = res.to_record()
         assert rec["label"] == "training"
         assert isinstance(rec["median_seconds"], float)

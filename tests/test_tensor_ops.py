@@ -8,6 +8,7 @@ import pytest
 
 from mhaf.errors import KernelError, ShapeError
 from mhaf.tensor import (
+    BN_EPS,
     BNParams,
     ConvKernel,
     avgpool2d,
@@ -317,14 +318,14 @@ class TestBatchNorm:
             gamma=rng.uniform(0.5, 1.5, 6).astype(np.float32),
             beta=rng.standard_normal(6).astype(np.float32),
         )
-        want = batchnorm_scalar(x, bn.mean, bn.var, bn.gamma, bn.beta, bn.eps)
+        want = batchnorm_scalar(x, bn.mean, bn.var, bn.gamma, bn.beta, BN_EPS)
         assert np.allclose(batchnorm_infer(x, bn), want, rtol=1e-5, atol=1e-6)
 
     def test_identity_params_change_nothing(self):
         rng = np.random.default_rng(401)
         x = rng.standard_normal((1, 4, 6, 6)).astype(np.float32)
         out = batchnorm_infer(x, BNParams.identity(4))
-        # eps=1e-5 inside sqrt perturbs the scale by ~5e-6 relative
+        # BN_EPS=1e-5 inside sqrt perturbs the scale by ~5e-6 relative
         assert np.allclose(out, x, rtol=1e-5, atol=1e-6)
 
     def test_channel_count_checked(self):

@@ -302,7 +302,7 @@ class TestBindingIdentity:
         for node in graph:
             listed = {id(store[e.name]): e.kind for e in node_param_entries(node, form)}
             seen = set()
-            for kind, arr in reached_arrays(bind_node_weights(node, store, form)):
+            for kind, arr in reached_arrays(bind_node_weights(node, store)):
                 if id(arr) in listed:
                     assert listed[id(arr)] == kind, (node.name, kind)
                     seen.add(id(arr))
