@@ -175,6 +175,8 @@ class RepHMSSpec:
             )
         if self.expansion <= 0:
             raise KernelError(f"expansion must be positive, got {self.expansion}")
+        if self.expanded_width < 1:
+            raise ShapeError(f"expansion {self.expansion} collapses the block width")
 
     @property
     def hidden(self) -> int:
@@ -186,10 +188,7 @@ class RepHMSSpec:
 
     @property
     def expanded_width(self) -> int:
-        ec = int(round(self.stream_width * self.expansion))
-        if ec < 1:
-            raise ShapeError(f"expansion {self.expansion} collapses the block width")
-        return ec
+        return int(round(self.stream_width * self.expansion))
 
 
 def rephms_concat_width(spec: RepHMSSpec) -> int:

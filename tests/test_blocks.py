@@ -201,6 +201,11 @@ class TestRepHMS:
         with pytest.raises(ShapeError):
             RepHMSSpec(16, 18, streams=4, blocks_per_stream=1, kernel=3)
 
+    def test_collapsed_block_width_rejected_at_construction(self):
+        # 4 channels per stream at expansion 0.1 round to a 0-wide block
+        with pytest.raises(ShapeError, match="expansion 0.1 collapses the block width"):
+            RepHMSSpec(8, 8, streams=2, blocks_per_stream=1, kernel=3, expansion=0.1)
+
 
 class TestSlotCoverage:
     """Every composite node reads each path of its layout exactly once and

@@ -121,6 +121,21 @@ class TestValidate:
         assert len(recs) == 5
         assert all(r["type"] == "check" and r["passed"] for r in recs)
 
+    def test_collapsed_block_width_fails_graph_build(self, capsys, tmp_path):
+        # the config parses, but no weight command could build its blocks
+        from mhaf.config import load_preset, serialize_config
+
+        text = serialize_config(load_preset("nano"))
+        assert "expansion: 2.0" in text
+        path = tmp_path / "collapsed.yaml"
+        path.write_text(text.replace("expansion: 2.0", "expansion: 0.01"))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "[ FAIL ] graph-build: expansion 0.01 collapses the block width" in out
+        code, _, err = run(capsys, "shapes", str(path))
+        assert code == 1
+        assert "collapses the block width" in err
+
 
 class TestInspection:
     def test_rf_text(self, capsys):
