@@ -6,18 +6,26 @@ deep, low-resolution levels see proportionally more context.  The default
 schedule uses 3/5/7/9 along backbone stages P2..P5 and 5/7/9 at neck levels
 P3..P5 on both fusion pathways.
 
-The receptive-field analyzer walks a model graph and propagates, per node,
-the classic (rf, jump) pair: ``rf`` is the input-pixel extent one output
-element can see, ``jump`` the effective stride between neighbouring output
-elements.  A conv with kernel k at jump j grows rf by (k-1)*j and
-multiplies j by its stride, so every jump is an integer product of conv
-strides.  A fusion node takes the worst (largest) rf over its input paths,
-each grown by its role's op, and sits at its same-level input's jump.
+The receptive-field analyzer walks a model graph along one input row and
+carries, per node, the window of every output column: ``lo[j]`` and
+``hi[j]``, the first and last input column that can reach column ``j``
+(the index maps of Araujo, Norris & Sim, "Computing Receptive Fields of
+Convolutional Neural Networks", Distill 2019).  Each op maps its output
+columns to the input columns it reads; windows never shrink as ``j``
+grows, so the first and last column read bound the union.  A fusion node
+takes the union over its roles, each brought to its resolution by the
+role's op, so windows that pooling and upsampling shift against each other
+widen it.  A node's ``rf`` is its middle column's window size, on a row
+wide enough that no middle window meets a row edge.  Its ``jump``, the
+input stride between neighbouring output columns, is a product of conv
+strides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .blocks import FUSION_ROLES
 from .errors import GraphError, KernelError
@@ -35,9 +43,6 @@ BACKBONE_LEVELS = ("p2", "p3", "p4", "p5")
 NECK_LEVELS = ("p3", "p4", "p5")
 PATHWAYS = ("shallow", "deep")
 _NECK_ALLOWED = (5, 7, 9)
-# input steps a fusion role's op adds to the receptive field: the 2x2 pool
-# one, the 3x3 down conv two
-_RF_STEPS = {"pool": 1, "down": 2}
 
 
 @dataclass
@@ -133,47 +138,86 @@ class RFEntry:
         return {"node": self.node, "rf": self.rf, "stride": self.stride}
 
 
-def receptive_field(graph) -> dict[str, RFEntry]:
-    """Propagate (rf, jump) through every node of a model graph.
+def _conv(lo: np.ndarray, hi: np.ndarray, kernel: int, stride: int = 1):
+    """Windows after a same-padded conv: output column ``j`` reads input
+    columns ``stride*j - pad .. stride*j + pad``, clipped to the row."""
+    centres = np.arange(0, lo.size, stride)
+    pad = (kernel - 1) // 2
+    return lo[np.maximum(centres - pad, 0)], hi[np.minimum(centres + pad, lo.size - 1)]
 
-    Works on any graph object exposing ordered ``nodes`` (a mapping of name
-    to nodes with ``kind``, ``inputs`` and ``attrs``).  A fusion node sits
-    at its ``same`` input's jump and takes the largest rf over its inputs;
-    every other input, scaled by its role's resolution, must land on that
-    jump.
-    """
-    entries: dict[str, RFEntry] = {}
+
+def _role_op(op: str | None, lo: np.ndarray, hi: np.ndarray):
+    """Windows after a fusion role's op: the 2x2 pool reads columns 2j and
+    2j+1, a nearest 2x upsample (``up``, and ``ctrl`` after its 1x1) reads
+    column j // 2, and ``down`` is a 3x3 stride-2 conv."""
+    if op == "pool":
+        return lo[0::2], hi[1::2]
+    if op in ("ctrl", "up"):
+        return np.repeat(lo, 2), np.repeat(hi, 2)
+    if op == "down":
+        return _conv(lo, hi, 3, 2)
+    return lo, hi
+
+
+def _windows(graph, width: int) -> dict[str, tuple[np.ndarray, np.ndarray, int]]:
+    """{node name: (lo, hi, jump)} over an input row ``width`` columns wide."""
+    out: dict[str, tuple[np.ndarray, np.ndarray, int]] = {}
     for node in graph.nodes.values():
-        ins = [entries[i] for i in node.inputs]
+        ins = [out[i] for i in node.inputs]
         kind = node.kind
         if kind == "input":
-            rf, jump = 1, 1
+            cols = np.arange(width)
+            out[node.name] = cols, cols, 1
         elif kind == "conv":
-            rf = ins[0].rf + (node.attrs["kernel"] - 1) * ins[0].stride
-            jump = ins[0].stride * node.attrs.get("stride", 1)
+            lo, hi, jump = ins[0]
+            stride = node.attrs.get("stride", 1)
+            out[node.name] = *_conv(lo, hi, node.attrs["kernel"], stride), jump * stride
         elif kind in ("bn", "silu", "head"):
-            rf, jump = ins[0].rf, ins[0].stride
+            out[node.name] = ins[0]
         elif kind == "rephms":
-            depth = (node.attrs["streams"] - 1) * node.attrs["blocks"]
-            rf = ins[0].rf + depth * (node.attrs["kernel"] - 1) * ins[0].stride
-            jump = ins[0].stride
+            lo, hi, jump = ins[0]
+            # the cascade's longest chain of the block's kernel
+            for _ in range((node.attrs["streams"] - 1) * node.attrs["blocks"]):
+                lo, hi = _conv(lo, hi, node.attrs["kernel"])
+            out[node.name] = lo, hi, jump
         elif kind in FUSION_ROLES:
             table = FUSION_ROLES[kind]
             by_role = dict(zip(node.attrs["roles"], ins))
-            jump = by_role["same"].stride
-            rf = 0
-            for role, entry in by_role.items():
+            jump = by_role["same"][2]
+            parts = []
+            for role, (lo, hi, stride) in by_role.items():
                 scale, op = table[role]
-                if entry.stride * scale != jump:
+                if stride * scale != jump:
                     raise GraphError(
                         f"node '{node.name}': {role} input sits at stride "
-                        f"{entry.stride}, expected {jump / scale:g}"
+                        f"{stride}, expected {jump / scale:g}"
                     )
-                rf = max(rf, entry.rf + _RF_STEPS.get(op, 0) * entry.stride)
+                parts.append(_role_op(op, lo, hi))
+            los, his = zip(*parts)
+            out[node.name] = np.minimum.reduce(los), np.maximum.reduce(his), jump
         else:
             raise GraphError(f"node '{node.name}' has unanalyzable kind '{kind}'")
-        entries[node.name] = RFEntry(node=node.name, rf=rf, stride=jump)
-    return entries
+    return out
+
+
+def receptive_field(graph) -> dict[str, RFEntry]:
+    """The receptive field and jump of every node of a model graph.
+
+    Works on any graph object exposing ordered ``nodes`` (a mapping of name
+    to nodes with ``kind``, ``inputs`` and ``attrs``).  Windows are carried
+    along an input row of 256 columns, doubled until every node's middle
+    window is clear of both row edges; ``rf`` is that window's size.  A
+    fusion node sits at its ``same`` input's jump, and every other input,
+    scaled by its role's resolution, must land on that jump.
+    """
+    width = 256
+    while True:
+        middle = {name: (lo[lo.size // 2], hi[hi.size // 2], jump)
+                  for name, (lo, hi, jump) in _windows(graph, width).items()}
+        if all(0 < lo and hi < width - 1 for lo, hi, _ in middle.values()):
+            return {name: RFEntry(node=name, rf=int(hi - lo + 1), stride=jump)
+                    for name, (lo, hi, jump) in middle.items()}
+        width *= 2
 
 
 def rf_report(graph) -> list[RFEntry]:

@@ -142,7 +142,7 @@ class TestInspection:
         code, out, _ = run(capsys, "rf", "nano")
         assert code == 0
         assert "head.p3  stride 8   rf 871" in out
-        assert "head.p5  stride 32  rf 1247" in out
+        assert "head.p5  stride 32  rf 1223" in out
 
     def test_rf_records_round_trip(self, capsys):
         _, out, _ = run(capsys, "rf", "nano", "--format", "records")
@@ -365,9 +365,9 @@ PINNED = [
     (("plan", "nano", *RECORDS), 0,
      "b2d4356e4e1b91d590fc9b1dbadadafe20f564a9d6e0ec333c5805d9860424bc"),
     (("rf", "nano"), 0,
-     "4125510db35435f144fb481127761ca6803a3a549555d980fcee1f40b50d1d49"),
+     "da82e029eef4fa7b6c945a3beb09431bb94b63763df37cbb2360c20ce4871c8a"),
     (("rf", "nano", *RECORDS), 0,
-     "38565683550d275a7e5493cc733ab400d86d64527d3110d3ef0bb39fc951b4e3"),
+     "38b856fa4d2c7d8a8ccc0be051db627e04e5d1c7a72f7491dda55bcc05aee0b9"),
     (("export", "nano"), 0,
      "1e0684efa1d0451471ee553ff9d96abb2880b927821931f9681e3074538aeb14"),
     (("export", "nano", *RECORDS), 0,
