@@ -185,12 +185,12 @@ def _windows(graph, width: int) -> dict[str, tuple[np.ndarray, np.ndarray, int]]
             by_role = dict(zip(node.attrs["roles"], ins))
             jump = by_role["same"][2]
             parts = []
-            for role, (lo, hi, stride) in by_role.items():
+            for role, (lo, hi, in_jump) in by_role.items():
                 scale, op = table[role]
-                if stride * scale != jump:
+                if in_jump * scale != jump:
                     raise GraphError(
                         f"node '{node.name}': {role} input sits at stride "
-                        f"{stride}, expected {jump / scale:g}"
+                        f"{in_jump}, expected {jump / scale:g}"
                     )
                 parts.append(_role_op(op, lo, hi))
             los, his = zip(*parts)
@@ -205,12 +205,14 @@ def receptive_field(graph) -> dict[str, RFEntry]:
 
     Works on any graph object exposing ordered ``nodes`` (a mapping of name
     to nodes with ``kind``, ``inputs`` and ``attrs``).  Windows are carried
-    along an input row of 256 columns, doubled until every node's middle
+    along an input row of 4096 columns, doubled until every node's middle
     window is clear of both row edges; ``rf`` is that window's size.  A
-    fusion node sits at its ``same`` input's jump, and every other input,
-    scaled by its role's resolution, must land on that jump.
+    walk costs about the same at 256 columns as at 4096, so starting wide
+    walks the nano and small presets once.  A fusion node sits at its
+    ``same`` input's jump, and every other input, scaled by its role's
+    resolution, must land on that jump.
     """
-    width = 256
+    width = 4096
     while True:
         middle = {name: (lo[lo.size // 2], hi[hi.size // 2], jump)
                   for name, (lo, hi, jump) in _windows(graph, width).items()}

@@ -237,8 +237,8 @@ def verify_equivalence(
 
     Each trial samples fresh weights, merges them, and runs both forms on a
     20x20 standard-normal input, accumulating the worst absolute output
-    difference.  Wall-clock per form is recorded as a side
-    effect (the deployed form should never be slower).
+    difference.  Wall-clock per form is recorded as a side effect (the
+    deployed form should never be slower).
     """
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")

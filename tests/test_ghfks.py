@@ -144,6 +144,18 @@ class TestReceptiveFieldFusionRoles:
         with pytest.raises(GraphError, match=f"'fuse': {role} input sits at stride 4"):
             receptive_field(g)
 
+    def test_union_of_shifted_windows(self):
+        # pooled pixels 2i, 2i+1 of the finer map cover input columns
+        # 4m .. 4m+2, the same-level 3x3 covers 4m-1 .. 4m+1: each input
+        # sees 3 columns, their union 4
+        g = chain_graph()
+        g.add("finer", "conv", ("x",), kernel=1, stride=2)
+        g.add("same", "conv", ("x",), kernel=3, stride=4)
+        g.add("fuse", "saf", ("finer", "same"), roles=("below", "same"))
+        entries = receptive_field(g)
+        assert entries["same"].rf == 3
+        assert (entries["fuse"].rf, entries["fuse"].stride) == (4, 4)
+
     def test_same_role_passes_through(self):
         g = chain_graph()
         g.add("c", "conv", ("x",), kernel=5, stride=2)
