@@ -12,7 +12,9 @@ depthwise conv.  :func:`fold_slot` is the one mapping from the first form
 to the second.
 
 ``FUSION_ROLES`` is the one place the fusion nodes' input roles are
-defined: each role's resolution and the op it takes before the concat.
+defined: each role's level step, the pathway it draws from and the op it
+takes before the concat.  ``FUSION_UNITS`` gives the geometry of the conv
+units those ops run.
 """
 
 from __future__ import annotations
@@ -250,48 +252,46 @@ def rephms_forward(x: np.ndarray, spec: RepHMSSpec, units: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # cross-resolution fusion nodes
 
-# The input roles of each fusion kind, in concat order: role -> (the input's
-# resolution relative to the node's output, the op applied before the
-# concat).  ``pool`` is silu(avgpool); ``up`` a bare 2x upsample; ``ctrl``
-# the node's 1x1 unit, run at the coarse resolution before the upsample (a
-# per-pixel unit commutes with a nearest-neighbour upsample, and costs a
-# quarter as much there); ``down`` its 3x3/stride-2 unit.  Evaluation, shape
-# inference, receptive fields, slot layouts and FLOP counts all read this
-# table.
+# The input roles of each fusion kind, in concat order: role -> (step, the
+# input's pyramid level relative to the node's, so its resolution is
+# ``2 ** -step`` times the output's; the pathway whose node at that level
+# feeds it; the op applied before the concat).  ``pool`` is silu(avgpool);
+# ``up`` a bare 2x upsample; ``ctrl`` the node's 1x1 unit, run at the coarse
+# resolution before the upsample (a per-pixel unit commutes with a
+# nearest-neighbour upsample, and costs a quarter as much there); ``down``
+# its 3x3/stride-2 unit.  Assembly, evaluation, shape inference, receptive
+# fields, slot layouts and FLOP counts all read this table.
 FUSION_ROLES = {
     "saf": {
-        "below": (2, "pool"),
-        "same": (1, None),
-        "above": (0.5, "ctrl"),
-        "above_refined": (0.5, "up"),
+        "below": (-1, "backbone", "pool"),
+        "same": (0, "backbone", None),
+        "above": (1, "backbone", "ctrl"),
+        "above_refined": (1, "shallow", "up"),
     },
     "aaf": {
-        "below_refined": (2, "down"),
-        "below_deep": (2, "pool"),
-        "same": (1, None),
-        "above_refined": (0.5, "ctrl"),
+        "below_refined": (-1, "shallow", "down"),
+        "below_deep": (-1, "deep", "pool"),
+        "same": (0, "shallow", None),
+        "above_refined": (1, "shallow", "ctrl"),
     },
 }
-# ops that run the node's conv unit of the same name
-FUSION_UNITS = ("ctrl", "down")
+# ops that run the node's conv unit of the same name: op -> (kernel, stride)
+FUSION_UNITS = {"ctrl": (1, 1), "down": (3, 2)}
 
 
 def saf_layout(same_ch: int, above_ch: int | None) -> list[ConvUnitSpec]:
     """Weighted slots of a shallow fusion node."""
     if above_ch is None:
         return []
-    return [ConvUnitSpec("ctrl", above_ch, same_ch // 2, 1)]
+    return [ConvUnitSpec("ctrl", above_ch, same_ch // 2, *FUSION_UNITS["ctrl"])]
 
 
 def aaf_layout(width: int, roles: tuple[str, ...]) -> list[ConvUnitSpec]:
     """Weighted slots of a deep fusion node, one per role whose op carries
     a conv, in role order."""
-    units = {
-        "down": ConvUnitSpec("down", width, width, 3, stride=2),
-        "ctrl": ConvUnitSpec("ctrl", width, width, 1),
-    }
-    ops = (FUSION_ROLES["aaf"][role][1] for role in roles)
-    return [units[op] for op in ops if op in units]
+    ops = (FUSION_ROLES["aaf"][role][2] for role in roles)
+    return [ConvUnitSpec(op, width, width, *FUSION_UNITS[op])
+            for op in ops if op in FUSION_UNITS]
 
 
 def _fusion_parts(kind: str, inputs: tuple, weights: dict) -> list[np.ndarray]:
@@ -302,24 +302,25 @@ def _fusion_parts(kind: str, inputs: tuple, weights: dict) -> list[np.ndarray]:
     roles (``saf_layout``, ``aaf_layout``), at the input's own resolution:
     ``ctrl`` before its upsample, ``down`` striding to the target."""
     table = FUSION_ROLES[kind]
-    ops = [op for (_, op), x in zip(table.values(), inputs) if x is not None]
+    ops = [op for (_, _, op), x in zip(table.values(), inputs) if x is not None]
     _check_slots([op for op in ops if op in FUSION_UNITS], weights)
     same = inputs[list(table).index("same")]
     parts = []
-    for (role, (scale, op)), x in zip(table.items(), inputs):
+    for (role, (step, _, op)), x in zip(table.items(), inputs):
         if x is None:
             continue
+        scale = 2 ** -step
         want = (same.shape[2] * scale, same.shape[3] * scale)
         if x.shape[2:] != want:
             raise ShapeError(
                 f"{role} input has spatial dims {x.shape[2:]} but must be exactly "
-                f"{'twice' if scale > 1 else 'half'} the target {same.shape[2:]}"
+                f"{'twice' if step < 0 else 'half'} the target {same.shape[2:]}"
             )
         if op in FUSION_UNITS:
             x = conv_unit_forward(x, weights[op])
         if op == "pool":
             x = silu(avgpool2d(x))
-        elif scale < 1:
+        elif step > 0:
             x = upsample2x(x)
         parts.append(x)
     return parts

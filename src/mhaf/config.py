@@ -15,7 +15,7 @@ from importlib import resources
 import yaml
 
 from .errors import ConfigError
-from .ghfks import BACKBONE_LEVELS
+from .ghfks import BACKBONE_LEVELS, LEVEL_STRIDES
 
 __all__ = [
     "ModelSpec",
@@ -140,9 +140,10 @@ def parse_config(text: str) -> ModelSpec:
     input_size = data["input_size"]
     if not isinstance(input_size, int) or isinstance(input_size, bool):
         fail(f"must be an integer, got {input_size!r}", key="input_size")
-    if input_size < 64 or input_size % 32 != 0:
+    divisor = LEVEL_STRIDES[BACKBONE_LEVELS[-1]]
+    if input_size < 64 or input_size % divisor != 0:
         fail(
-            f"must be a multiple of 32 and at least 64, got {input_size}",
+            f"must be a multiple of {divisor} and at least 64, got {input_size}",
             key="input_size",
         )
 
@@ -152,10 +153,10 @@ def parse_config(text: str) -> ModelSpec:
     stages = channels.get("stages")
     if (
         not isinstance(stages, list)
-        or len(stages) != 4
+        or len(stages) != len(BACKBONE_LEVELS)
         or any(not isinstance(c, int) or isinstance(c, bool) or c < 8 for c in stages)
     ):
-        fail("must be a list of 4 integers >= 8", key="channels.stages")
+        fail(f"must be a list of {len(BACKBONE_LEVELS)} integers >= 8", key="channels.stages")
     neck = channels.get("neck")
     if not isinstance(neck, int) or isinstance(neck, bool) or neck < 8:
         fail(f"must be an integer >= 8, got {neck!r}", key="channels.neck")

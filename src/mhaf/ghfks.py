@@ -1,6 +1,10 @@
 """Kernel-size scheduling across pyramid levels, and receptive-field
 analysis of assembled graphs.
 
+``LEVEL_STRIDES`` is the one statement of the pyramid: each level's name
+and input stride, finest first.  The backbone has a stage at every level,
+the neck and the heads at every level but the finest.
+
 The scheduling idea: convolution kernels grow with the feature stride, so
 deep, low-resolution levels see proportionally more context.  The default
 schedule uses 3/5/7/9 along backbone stages P2..P5 and 5/7/9 at neck levels
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import FUSION_ROLES
+from .blocks import FUSION_ROLES, FUSION_UNITS
 from .errors import GraphError, KernelError
 
 __all__ = [
@@ -39,8 +43,10 @@ __all__ = [
     "rf_report",
 ]
 
-BACKBONE_LEVELS = ("p2", "p3", "p4", "p5")
-NECK_LEVELS = ("p3", "p4", "p5")
+# pyramid level -> input stride, finest first
+LEVEL_STRIDES = {"p2": 4, "p3": 8, "p4": 16, "p5": 32}
+BACKBONE_LEVELS = tuple(LEVEL_STRIDES)
+NECK_LEVELS = BACKBONE_LEVELS[1:]
 PATHWAYS = ("shallow", "deep")
 _NECK_ALLOWED = (5, 7, 9)
 
@@ -146,16 +152,17 @@ def _conv(lo: np.ndarray, hi: np.ndarray, kernel: int, stride: int = 1):
     return lo[np.maximum(centres - pad, 0)], hi[np.minimum(centres + pad, lo.size - 1)]
 
 
-def _role_op(op: str | None, lo: np.ndarray, hi: np.ndarray):
-    """Windows after a fusion role's op: the 2x2 pool reads columns 2j and
-    2j+1, a nearest 2x upsample (``up``, and ``ctrl`` after its 1x1) reads
-    column j // 2, and ``down`` is a 3x3 stride-2 conv."""
+def _role_op(step: int, op: str | None, lo: np.ndarray, hi: np.ndarray):
+    """Windows after a fusion role's op, in the order the node runs it: a
+    unit's conv (``FUSION_UNITS`` geometry), then the 2x2 pool, reading
+    columns 2j and 2j+1, or, for a coarser input, the nearest 2x upsample,
+    reading column j // 2."""
+    if op in FUSION_UNITS:
+        lo, hi = _conv(lo, hi, *FUSION_UNITS[op])
     if op == "pool":
         return lo[0::2], hi[1::2]
-    if op in ("ctrl", "up"):
+    if step > 0:
         return np.repeat(lo, 2), np.repeat(hi, 2)
-    if op == "down":
-        return _conv(lo, hi, 3, 2)
     return lo, hi
 
 
@@ -186,13 +193,14 @@ def _windows(graph, width: int) -> dict[str, tuple[np.ndarray, np.ndarray, int]]
             jump = by_role["same"][2]
             parts = []
             for role, (lo, hi, in_jump) in by_role.items():
-                scale, op = table[role]
+                step, _, op = table[role]
+                scale = 2 ** -step
                 if in_jump * scale != jump:
                     raise GraphError(
                         f"node '{node.name}': {role} input sits at stride "
                         f"{in_jump}, expected {jump / scale:g}"
                     )
-                parts.append(_role_op(op, lo, hi))
+                parts.append(_role_op(step, op, lo, hi))
             los, his = zip(*parts)
             out[node.name] = np.minimum.reduce(los), np.maximum.reduce(his), jump
         else:
@@ -210,7 +218,7 @@ def receptive_field(graph) -> dict[str, RFEntry]:
     walk costs about the same at 256 columns as at 4096, so starting wide
     walks the nano and small presets once.  A fusion node sits at its
     ``same`` input's jump, and every other input, scaled by its role's
-    resolution, must land on that jump.
+    resolution ``2 ** -step``, must land on that jump.
     """
     width = 4096
     while True:

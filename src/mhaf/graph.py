@@ -10,8 +10,9 @@ concatenation run only inside the fusion nodes.  Weight entries are
 named only here (``node_param_entries``, ``slot_entries``); initialization,
 binding, fusion and bookkeeping read those lists.  The fusion kinds' input
 roles (``attrs["roles"]``, one per input) come from
-:data:`mhaf.blocks.FUSION_ROLES`, the one place their resolutions and ops
-are defined; ``add`` rejects roles outside it.
+:data:`mhaf.blocks.FUSION_ROLES`, the one place their sources, resolutions
+and ops are defined; ``add`` rejects roles outside it.  The pyramid levels
+and their strides come from :data:`mhaf.ghfks.LEVEL_STRIDES`.
 
 Node naming is stable and positional (``backbone.p3``, ``neck.p4.shallow``,
 ``head.p5``), which weight stores rely on.
@@ -33,7 +34,7 @@ from .blocks import (
 )
 from .config import ModelSpec, spec_hash
 from .errors import GraphError, ShapeError
-from .ghfks import BACKBONE_LEVELS, NECK_LEVELS, KernelPlan, default_plan
+from .ghfks import BACKBONE_LEVELS, LEVEL_STRIDES, NECK_LEVELS, KernelPlan, default_plan
 from .tensor import conv_output_size
 
 __all__ = [
@@ -66,9 +67,6 @@ KINDS = frozenset(
         "head",
     }
 )
-
-HEAD_STRIDES = {"p3": 8, "p4": 16, "p5": 32}
-
 
 @dataclass(frozen=True)
 class Node:
@@ -165,17 +163,17 @@ def _add_conv_bn_act(graph, base, src, in_ch, out_ch, kernel, stride):
 def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
     """Build the training-form detection backbone+neck graph.
 
-    Structure: a two-conv stride-4 stem; four backbone stages (P2..P5), each
-    a stride-2 downsample followed by an aggregation module; a first
+    Structure: a two-conv stride-4 stem; one backbone stage per level of
+    :data:`mhaf.ghfks.LEVEL_STRIDES` (P2..P5), each a stride-2 downsample
+    (none at the finest) followed by an aggregation module; a first
     (shallow) fusion pathway running coarse-to-fine over P5..P3; a second
     (deep) fusion pathway running fine-to-coarse over P3..P5; and one head
-    stub per neck level at strides 8/16/32.
+    stub per neck level at that level's stride.
 
-    The shallow fusion at level n consumes backbone levels n-1, n, n+1 plus
-    the already-refined level n+1; the deep fusion at level n consumes
-    refined levels n-1, n, n+1 plus the deep-pathway output at n-1 --
-    missing neighbours at the pyramid boundaries simply drop out of the
-    concat (P5 shallow keeps 2 terms, P3 deep 2, P5 deep 3).
+    One neighbour rule wires every fusion node: at level n, each role of
+    its kind in :data:`mhaf.blocks.FUSION_ROLES` takes the role's source
+    pathway at level n + step, and drops out of the concat where that node
+    does not exist (past a pyramid edge, or a level the pathway lacks).
     """
     plan = plan or default_plan()
     cs = spec.scaled_stage_channels
@@ -189,7 +187,7 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
         },
     )
 
-    graph.add("images", "input", channels=3, divisor=32)
+    graph.add("images", "input", channels=3, divisor=LEVEL_STRIDES[BACKBONE_LEVELS[-1]])
 
     stem_ch = max(8, cs[0] // 2)
     prev = _add_conv_bn_act(graph, "stem.1", "images", 3, stem_ch, 3, 2)
@@ -204,8 +202,9 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
         rephms_spec(graph.node(name))  # surface bad stream splits right here
         return name
 
+    ch = {}
     for i, level in enumerate(BACKBONE_LEVELS):
-        if level != "p2":
+        if i:
             prev = _add_conv_bn_act(
                 graph, f"backbone.{level}.down", prev, cs[i - 1], cs[i], 3, 2
             )
@@ -214,51 +213,41 @@ def assemble(spec: ModelSpec, plan: KernelPlan | None = None) -> ModelGraph:
             spec.backbone_streams, spec.scaled_backbone_blocks,
             plan.backbone_kernel(level),
         )
+        ch[prev] = cs[i]
 
-    bb = {lv: f"backbone.{lv}" for lv in BACKBONE_LEVELS}
-    ch = {bb[lv]: c for lv, c in zip(BACKBONE_LEVELS, cs)}
+    def source(level, step, pathway):
+        """The node feeding a role at ``level``; None where there is none."""
+        lv = dict(enumerate(BACKBONE_LEVELS)).get(BACKBONE_LEVELS.index(level) + step)
+        name = f"backbone.{lv}" if pathway == "backbone" else f"neck.{lv}.{pathway}"
+        return name if name in graph.nodes else None
 
-    # one fusion node and the aggregation module after it; ``sources`` are
-    # in the kind's FUSION_ROLES order, None where a pyramid boundary drops
-    # the role
-    def add_fusion(level, pathway, kind, sources, **attrs):
-        roles, inputs = zip(*((r, s) for r, s in zip(FUSION_ROLES[kind], sources) if s))
-        fuse = f"neck.{level}.{pathway}.fuse"
-        probe = Node(fuse, kind, inputs, dict(roles=roles, **attrs))
-        out_ch = sum(_fusion_widths(probe, [ch[src] for src in inputs]))
-        graph.add(fuse, kind, inputs, roles=roles, **attrs, out_ch=out_ch)
-        name = add_rephms(
-            f"neck.{level}.{pathway}", fuse, out_ch, w,
-            spec.neck_streams, spec.scaled_neck_blocks,
-            plan.neck_kernel(level, pathway),
-        )
-        ch[name] = w
-
-    # first fusion pathway (shallow), coarsest level first
-    shallow = {
-        "p5": (bb["p4"], bb["p5"], None, None),
-        "p4": (bb["p3"], bb["p4"], bb["p5"], "neck.p5.shallow"),
-        "p3": (bb["p2"], bb["p3"], bb["p4"], "neck.p4.shallow"),
-    }
-    for level, sources in shallow.items():
-        add_fusion(
-            level, "shallow", "saf", sources,
-            same_ch=ch[sources[1]], above_ch=ch.get(sources[2]),
-        )
-
-    # second fusion pathway (deep), finest level first
-    deep = {
-        "p3": (None, None, "neck.p3.shallow", "neck.p4.shallow"),
-        "p4": ("neck.p3.shallow", "neck.p3.deep", "neck.p4.shallow", "neck.p5.shallow"),
-        "p5": ("neck.p4.shallow", "neck.p4.deep", "neck.p5.shallow", None),
-    }
-    for level, sources in deep.items():
-        add_fusion(level, "deep", "aaf", sources, width=w)
+    # one fusion node and the aggregation module after it per neck level:
+    # the shallow pathway coarsest level first, the deep one finest first
+    for pathway, kind, levels in (
+        ("shallow", "saf", NECK_LEVELS[::-1]),
+        ("deep", "aaf", NECK_LEVELS),
+    ):
+        for level in levels:
+            wired = {role: source(level, step, src)
+                     for role, (step, src, _) in FUSION_ROLES[kind].items()}
+            roles, inputs = zip(*((r, s) for r, s in wired.items() if s))
+            attrs = (dict(same_ch=ch[wired["same"]], above_ch=ch.get(wired["above"]))
+                     if kind == "saf" else dict(width=w))
+            fuse = f"neck.{level}.{pathway}.fuse"
+            probe = Node(fuse, kind, inputs, dict(roles=roles, **attrs))
+            out_ch = sum(_fusion_widths(probe, [ch[src] for src in inputs]))
+            graph.add(fuse, kind, inputs, roles=roles, **attrs, out_ch=out_ch)
+            name = add_rephms(
+                f"neck.{level}.{pathway}", fuse, out_ch, w,
+                spec.neck_streams, spec.scaled_neck_blocks,
+                plan.neck_kernel(level, pathway),
+            )
+            ch[name] = w
 
     for level in NECK_LEVELS:
         graph.add(
             f"head.{level}", "head", (f"neck.{level}.deep",),
-            level=level, stride=HEAD_STRIDES[level], channels=w,
+            level=level, stride=LEVEL_STRIDES[level], channels=w,
         )
     graph.outputs = tuple(f"head.{lv}" for lv in NECK_LEVELS)
     return graph
@@ -292,7 +281,7 @@ def _fusion_widths(node: Node, channels) -> list[int]:
     slots = {slot.path: slot for slot in node_slots(node).values()}
     widths = []
     for role, c in zip(node.attrs["roles"], channels):
-        op = table[role][1]
+        op = table[role][2]
         if op in FUSION_UNITS:
             want = slots[op].in_ch if op in slots else None
             if c != want:
@@ -307,12 +296,13 @@ def _fusion_widths(node: Node, channels) -> list[int]:
 
 def _fusion_shape(node: Node, ins: list[tuple[int, int, int]]) -> tuple[int, int, int]:
     """Output shape of a fusion node: every input sits at its role's
-    resolution, and contributes the width :func:`_fusion_widths` gives."""
+    resolution, ``2 ** -step`` times the node's, and contributes the width
+    :func:`_fusion_widths` gives."""
     table = FUSION_ROLES[node.kind]
     roles = node.attrs["roles"]
-    h, wd = next(s[1:] for role, s in zip(roles, ins) if table[role][0] == 1)
+    h, wd = next(s[1:] for role, s in zip(roles, ins) if table[role][0] == 0)
     for role, (_, h_in, w_in) in zip(roles, ins):
-        scale = table[role][0]
+        scale = 2 ** -table[role][0]
         if (h_in, w_in) != (h * scale, wd * scale):
             raise ShapeError(
                 f"node '{node.name}': {role} input is {h_in}x{w_in}, "
@@ -531,7 +521,7 @@ def count_params_flops(graph: ModelGraph, input_size=None) -> Bookkeeping:
             # a fusion unit writes its map at its role's resolution over its
             # stride: ``ctrl`` runs before its upsample, on a quarter of the
             # pixels, and ``down`` lands on the node's own resolution
-            scales = {op: scale for scale, op in FUSION_ROLES[node.kind].values()}
+            scales = {op: 2 ** -step for step, _, op in FUSION_ROLES[node.kind].values()}
             flops = 0
             for prefix, slot in node_slots(node).items():
                 oh, ow = (int(n * scales[slot.path]) // slot.stride for n in (h, w))
@@ -649,9 +639,7 @@ def validate_model(spec: ModelSpec, plan: KernelPlan | None = None) -> list[Chec
 
     def shapes_check():
         shapes = shape_infer(graph)
-        heads = {
-            lv: shapes[f"head.{lv}"] for lv in NECK_LEVELS
-        }
+        heads = {lv: shapes[f"head.{lv}"] for lv in NECK_LEVELS}
         return ", ".join(f"{lv}:{c}x{h}x{w}" for lv, (c, h, w) in heads.items())
 
     run("shapes-and-strides", shapes_check)
