@@ -19,6 +19,7 @@ units those ops run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -175,8 +176,8 @@ class RepHMSSpec:
             raise ShapeError(
                 f"hidden width {self.out_ch} not divisible into {self.streams} streams"
             )
-        if self.expansion <= 0:
-            raise KernelError(f"expansion must be positive, got {self.expansion}")
+        if not 0 < self.expansion < math.inf:  # NaN fails too
+            raise KernelError(f"expansion must be a positive finite number, got {self.expansion}")
         if self.expanded_width < 1:
             raise ShapeError(f"expansion {self.expansion} collapses the block width")
 

@@ -9,6 +9,7 @@ weight files) consumes the parsed :class:`ModelSpec`, never raw YAML.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -130,8 +131,9 @@ def parse_config(text: str) -> ModelSpec:
         fail("scale must be a non-empty string", key="scale")
 
     def positive_number(key, value):
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            fail(f"must be a positive number, got {value!r}", key=key)
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not 0 < value < math.inf):  # NaN fails too
+            fail(f"must be a positive finite number, got {value!r}", key=key)
         return float(value)
 
     width = positive_number("width", data["width"])

@@ -23,7 +23,7 @@ from mhaf.blocks import (
     saf_layout,
 )
 from mhaf.config import load_preset
-from mhaf.errors import ShapeError, StateError
+from mhaf.errors import KernelError, ShapeError, StateError
 from mhaf.graph import assemble
 from mhaf.reparam import RepHConvSpec, RepHConvWeights, random_rephconv, rephconv_forward
 from mhaf.tensor import avgpool2d, concat_channels, silu, split_channels, upsample2x
@@ -205,6 +205,11 @@ class TestRepHMS:
         # 4 channels per stream at expansion 0.1 round to a 0-wide block
         with pytest.raises(ShapeError, match="expansion 0.1 collapses the block width"):
             RepHMSSpec(8, 8, streams=2, blocks_per_stream=1, kernel=3, expansion=0.1)
+
+    @pytest.mark.parametrize("expansion", [float("nan"), float("inf")])
+    def test_non_finite_expansion_rejected_at_construction(self, expansion):
+        with pytest.raises(KernelError, match="positive finite"):
+            RepHMSSpec(8, 8, streams=2, blocks_per_stream=1, kernel=3, expansion=expansion)
 
 
 class TestSlotCoverage:

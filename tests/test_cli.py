@@ -136,6 +136,20 @@ class TestValidate:
         assert code == 1
         assert "collapses the block width" in err
 
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    @pytest.mark.parametrize("key", ["width", "depth", "expansion"])
+    def test_non_finite_number_is_a_config_error(self, capsys, tmp_path, key, value):
+        from mhaf.config import load_preset, serialize_config
+
+        text = serialize_config(load_preset("nano"))
+        line = next(ln for ln in text.splitlines() if ln.startswith(f"{key}: "))
+        path = tmp_path / "non_finite.yaml"
+        path.write_text(text.replace(line, f"{key}: {value}"))
+        code, out, err = run(capsys, "shapes", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"mhaf: config key '{key}'"), err
+        assert "Traceback" not in err
+
 
 class TestInspection:
     def test_rf_text(self, capsys):

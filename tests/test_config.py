@@ -175,3 +175,12 @@ class TestFieldValidation:
         text = nano_text().replace("expansion: 2.0", "expansion: -1.0")
         with pytest.raises(ConfigError, match="expansion"):
             parse_config(text)
+
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    @pytest.mark.parametrize("key", ["width", "depth", "expansion"])
+    def test_non_finite_number_rejected(self, key, value):
+        # NaN compares false to everything, so a `value <= 0` test lets it in
+        text = nano_text()
+        line = next(ln for ln in text.splitlines() if ln.startswith(f"{key}: "))
+        with pytest.raises(ConfigError, match=rf"^config key '{key}' \(line \d+\): "):
+            parse_config(text.replace(line, f"{key}: {value}"))
