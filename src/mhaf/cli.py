@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Every command takes a model config as its first positional argument: a
-preset name like ``nano`` or a path to a YAML file.
+Every command but ``plan`` takes a model config as its first positional
+argument: a preset name like ``nano`` or a path to a YAML file.  ``plan``
+reports the kernel schedule, which no config changes.
 
 Each command builds its report twice over the same facts: a list of
 records (flat dicts) and a list of text lines, and returns them with its
@@ -154,7 +155,6 @@ def _cmd_shapes(args):
 
 
 def _cmd_plan(args):
-    resolve_config(args.config)  # config is accepted for interface consistency
     plan = _plan_from(args)
     problem = None
     try:
@@ -293,11 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def command(name, handler, help_text):
+    def command(name, handler, help_text, config=True):
         sub = subs.add_parser(name, help=help_text, description=help_text)
-        sub.add_argument(
-            "config", help=f"preset name ({', '.join(PRESET_NAMES)}) or path to a YAML config"
-        )
+        if config:
+            sub.add_argument(
+                "config", help=f"preset name ({', '.join(PRESET_NAMES)}) or path to a YAML config"
+            )
         sub.set_defaults(handler=handler)
         return sub
 
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_arg(sub)
     _add_out_arg(sub)
 
-    sub = command("plan", _cmd_plan, "print the kernel-size schedule")
+    sub = command("plan", _cmd_plan, "print the kernel-size schedule", config=False)
     _add_uniform_arg(sub)
     _add_format_arg(sub)
     _add_out_arg(sub)

@@ -63,6 +63,12 @@ class TestUsageErrors:
             main(["rf"])
         assert exc.value.code == 2
 
+    def test_plan_takes_no_config(self):
+        # the schedule comes from --uniform or the default plan alone
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "nano"])
+        assert exc.value.code == 2
+
     def test_unknown_preset_is_a_validation_error(self, capsys):
         code, _, err = run(capsys, "rf", "giant")
         assert code == 1
@@ -171,7 +177,7 @@ class TestInspection:
         assert "rf 311" in flat
 
     def test_plan_records(self, capsys):
-        code, out, _ = run(capsys, "plan", "nano", "--format", "records")
+        code, out, _ = run(capsys, "plan", "--format", "records")
         recs = parse_records(out)
         kernels = [r for r in recs if r["type"] == "kernel"]
         assert code == 0
@@ -179,7 +185,7 @@ class TestInspection:
         assert recs[-1] == {"type": "schedule", "passed": True, "detail": "schedule holds"}
 
     def test_plan_off_schedule_exit(self, capsys):
-        code, out, _ = run(capsys, "plan", "nano", "--uniform", "3")
+        code, out, _ = run(capsys, "plan", "--uniform", "3")
         assert code == 1
         assert "schedule:" in out
 
@@ -374,9 +380,9 @@ PINNED = [
      "c06d46be1369a7b1eb865aeeb6e01411445fc8ef17730ce6b2066f6a907787c1"),
     (("shapes", "nano", *RECORDS), 0,
      "6864e9c6fc92f5cd6e79d30fb4dc9708eca95c95a29f0d4e245c87c811cebe06"),
-    (("plan", "nano"), 0,
+    (("plan",), 0,
      "c36a881cee4692f2974b881c108b6caaf24583a21de65d8cbcf63acb65660895"),
-    (("plan", "nano", *RECORDS), 0,
+    (("plan", *RECORDS), 0,
      "b2d4356e4e1b91d590fc9b1dbadadafe20f564a9d6e0ec333c5805d9860424bc"),
     (("rf", "nano"), 0,
      "da82e029eef4fa7b6c945a3beb09431bb94b63763df37cbb2360c20ce4871c8a"),
