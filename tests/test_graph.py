@@ -104,6 +104,28 @@ class TestAssembly:
         assert below_refined == "neck.p3.shallow"
         assert below_deep == "neck.p3.deep"
 
+    @pytest.mark.parametrize("plan", [None, uniform_plan(3)], ids=["default", "all-3x3"])
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_every_fusion_node_is_wired_as_pinned(self, preset, plan):
+        # spelled out here, not derived from FUSION_ROLES, so that a changed
+        # step or source in that table shows
+        wiring = [
+            ("neck.p5.shallow.fuse", ("below", "same"), ("backbone.p4", "backbone.p5")),
+            ("neck.p4.shallow.fuse", ("below", "same", "above", "above_refined"),
+             ("backbone.p3", "backbone.p4", "backbone.p5", "neck.p5.shallow")),
+            ("neck.p3.shallow.fuse", ("below", "same", "above", "above_refined"),
+             ("backbone.p2", "backbone.p3", "backbone.p4", "neck.p4.shallow")),
+            ("neck.p3.deep.fuse", ("same", "above_refined"),
+             ("neck.p3.shallow", "neck.p4.shallow")),
+            ("neck.p4.deep.fuse", ("below_refined", "below_deep", "same", "above_refined"),
+             ("neck.p3.shallow", "neck.p3.deep", "neck.p4.shallow", "neck.p5.shallow")),
+            ("neck.p5.deep.fuse", ("below_refined", "below_deep", "same"),
+             ("neck.p4.shallow", "neck.p4.deep", "neck.p5.shallow")),
+        ]
+        graph = assemble(load_preset(preset), plan)
+        got = [(n.name, n.attrs["roles"], n.inputs) for n in graph if n.kind in ("saf", "aaf")]
+        assert got == wiring
+
     def test_backbone_mixers_follow_plan(self):
         g = nano_graph()
         for level, kernel in (("p2", 3), ("p3", 5), ("p4", 7), ("p5", 9)):
