@@ -9,7 +9,7 @@ weight files) consumes the parsed :class:`ModelSpec`, never raw YAML.
 from __future__ import annotations
 
 import hashlib
-import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -132,7 +132,7 @@ def parse_config(text: str) -> ModelSpec:
 
     def positive_number(key, value):
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not 0 < value < math.inf):  # NaN fails too
+                or not 0 < value <= sys.float_info.max):  # NaN fails too
             fail(f"must be a positive finite number, got {value!r}", key=key)
         return float(value)
 

@@ -176,10 +176,13 @@ class TestFieldValidation:
         with pytest.raises(ConfigError, match="expansion"):
             parse_config(text)
 
-    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    @pytest.mark.parametrize(
+        "value", [".nan", ".inf", "1" + "0" * 400], ids=["nan", "inf", "1e400"]
+    )
     @pytest.mark.parametrize("key", ["width", "depth", "expansion"])
     def test_non_finite_number_rejected(self, key, value):
-        # NaN compares false to everything, so a `value <= 0` test lets it in
+        # NaN compares false to everything, so a `value <= 0` test lets it
+        # in; an integer past the float range cannot become a float
         text = nano_text()
         line = next(ln for ln in text.splitlines() if ln.startswith(f"{key}: "))
         with pytest.raises(ConfigError, match=rf"^config key '{key}' \(line \d+\): "):
