@@ -35,7 +35,7 @@ from .blocks import (
 from .config import ModelSpec, spec_hash
 from .errors import GraphError, ShapeError
 from .ghfks import BACKBONE_LEVELS, LEVEL_STRIDES, NECK_LEVELS, KernelPlan, default_plan
-from .tensor import conv_output_size
+from .tensor import conv_output_size, is_int
 
 __all__ = [
     "Node",
@@ -326,14 +326,19 @@ def shape_infer(graph: ModelGraph, input_size=None) -> dict[str, tuple[int, int,
     """Propagate (channels, height, width) through every node, validating
     channel and resolution consistency along the way.
 
-    ``input_size`` is an int (square) or (h, w) pair; defaults to the
-    assembly-time input size when the graph carries one.
+    ``input_size`` is a positive int (square) or an (h, w) pair of ints;
+    defaults to the assembly-time input size when the graph carries one.
     """
     if input_size is None:
         input_size = graph.meta.get("input_size")
         if input_size is None:
             raise ShapeError("graph carries no default input size; pass one")
-    hw = (input_size, input_size) if isinstance(input_size, int) else tuple(input_size)
+    hw = (input_size, input_size) if is_int(input_size) else input_size
+    if not (isinstance(hw, (tuple, list)) and len(hw) == 2 and all(map(is_int, hw))):
+        raise ShapeError(
+            f"input size must be a positive int or a pair of ints, got {input_size!r}"
+        )
+    hw = (int(hw[0]), int(hw[1]))
 
     shapes: dict[str, tuple[int, int, int]] = {}
     for node in graph:
@@ -643,27 +648,4 @@ def validate_model(spec: ModelSpec, plan: KernelPlan | None = None) -> list[Chec
         return ", ".join(f"{lv}:{c}x{h}x{w}" for lv, (c, h, w) in heads.items())
 
     run("shapes-and-strides", shapes_check)
-
-    def wiring_check():
-        expect = {
-            "neck.p5.shallow.fuse": 2,
-            "neck.p4.shallow.fuse": 4,
-            "neck.p3.shallow.fuse": 4,
-            "neck.p3.deep.fuse": 2,
-            "neck.p4.deep.fuse": 4,
-            "neck.p5.deep.fuse": 3,
-        }
-        for name, arity in expect.items():
-            got = len(graph.node(name).inputs)
-            if got != arity:
-                raise GraphError(f"{name} has {got} inputs, expected {arity}")
-        p4 = graph.node("neck.p4.deep.fuse")
-        rm = dict(zip(p4.attrs["roles"], p4.inputs))
-        if rm["below_refined"] == rm["below_deep"]:
-            raise GraphError(
-                "deep fusion must draw its two finer-level terms from distinct nodes"
-            )
-        return "fusion arities 2/4/4 + 2/4/3, finer-level sources distinct"
-
-    run("fusion-wiring", wiring_check)
     return checks

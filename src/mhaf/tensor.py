@@ -46,7 +46,13 @@ __all__ = [
     "upsample2x",
     "concat_channels",
     "split_channels",
+    "is_int",
 ]
+
+
+def is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def to_tensor4(arr) -> np.ndarray:
@@ -83,7 +89,7 @@ class ConvKernel:
     bias:
         ``(out_channels,)`` float32.  Defaults to zeros.
     stride, groups:
-        Usual conv hyper-parameters.
+        Usual conv hyper-parameters: integers (not bools), at least 1.
 
     Every conv pads each side by :attr:`padding`, ``(k - 1) // 2``: it
     preserves spatial size at stride 1 and centres a smaller kernel's
@@ -113,10 +119,10 @@ class ConvKernel:
                     f"bias shape {b.shape} does not match out_channels {w.shape[0]}"
                 )
             self.bias = b
-        if self.stride < 1:
-            raise KernelError(f"stride must be >= 1, got {self.stride}")
-        if self.groups < 1:
-            raise KernelError(f"groups must be >= 1, got {self.groups}")
+        for name in ("stride", "groups"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise KernelError(f"{name} must be an integer >= 1, got {value!r}")
         if w.shape[0] % self.groups != 0:
             raise KernelError(
                 f"out_channels {w.shape[0]} not divisible by groups {self.groups}"

@@ -49,7 +49,7 @@ from .graph import (
     slot_entries,
 )
 from .reparam import RepHConvWeights
-from .tensor import BNParams, ConvKernel
+from .tensor import BNParams, ConvKernel, is_int
 
 __all__ = [
     "WeightStore",
@@ -296,6 +296,24 @@ def crc64_xz(data) -> int:
 # binary container
 
 
+def _check_meta(store: WeightStore) -> None:
+    """Raise a WeightFileError naming the field unless the store's metadata
+    reads back as it is: ``form`` a string and ``spec_digest`` None or a
+    string, neither holding the ``;`` that separates the fields (nor the
+    digest reading as ``""`` or ``"none"``, which load as None), and
+    ``seed`` None or an integer."""
+    strings = {"form": store.form}
+    if store.spec_digest is not None:
+        strings["spec_digest"] = store.spec_digest
+    for name, value in strings.items():
+        if not isinstance(value, str) or ";" in value:
+            raise WeightFileError(f"{name} must be a string without ';', got {value!r}")
+    if store.spec_digest in ("", "none"):
+        raise WeightFileError(f"spec_digest {store.spec_digest!r} would load back as None")
+    if store.seed is not None and not is_int(store.seed):
+        raise WeightFileError(f"seed must be an integer or None, got {store.seed!r}")
+
+
 def _encode_meta(store: WeightStore) -> np.ndarray:
     text = (
         f"form={store.form};seed={'none' if store.seed is None else store.seed};"
@@ -334,8 +352,10 @@ def save_weights(store: WeightStore, path: str) -> None:
     """Write the store to the binary container (metadata entry first, then
     data entries in insertion order, then the checksum).  Every entry must
     be a C-contiguous float32 array, as :func:`validate_store` requires; any
-    other raises a ShapeError naming it before a byte is written.  Headers
-    and payloads are joined once, so each payload is copied once.
+    other raises a ShapeError naming it before a byte is written, and
+    metadata that would not load back as it is raises a WeightFileError
+    naming the field.  Headers and payloads are joined once, so each
+    payload is copied once.
 
     The bytes go to a temporary file beside ``path`` that ``os.replace``
     then moves over it, so an existing file at ``path`` is either left
@@ -345,6 +365,7 @@ def save_weights(store: WeightStore, path: str) -> None:
         raise WeightFileError(
             f"entry name '{META_ENTRY}' is reserved for the store's metadata"
         )
+    _check_meta(store)
     parts = [struct.pack("<4sII", MAGIC, VERSION, len(store.entries) + 1)]
     parts += _entry_parts(META_ENTRY, _encode_meta(store))
     for name, arr in store.entries.items():

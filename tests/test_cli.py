@@ -112,8 +112,8 @@ class TestValidate:
     def test_clean_config_passes(self, capsys):
         code, out, _ = run(capsys, "validate", "nano")
         assert code == 0
-        assert "all 5 checks passed" in out
-        assert out.count("[ pass ]") == 5
+        assert "all 4 checks passed" in out
+        assert out.count("[ pass ]") == 4
 
     def test_off_schedule_plan_fails(self, capsys):
         code, out, _ = run(capsys, "validate", "nano", "--uniform", "3")
@@ -124,7 +124,7 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "nano", "--format", "records")
         recs = parse_records(out)
         assert code == 0
-        assert len(recs) == 5
+        assert len(recs) == 4
         assert all(r["type"] == "check" and r["passed"] for r in recs)
 
     def test_collapsed_block_width_fails_graph_build(self, capsys, tmp_path):
@@ -369,13 +369,13 @@ VERIFY = ("verify", "lite-nano", "--trials", "2")
 # Fuse and verify are pinned with every float masked.
 PINNED = [
     (("validate", "nano"), 0,
-     "89c912fabbbe86d5dbbc7165881983ede8b9eb9c5e55fb93a280e908bf25b645"),
+     "3d7981cc24671cd296dba5b446d670b1af1d21420864134392a55d7529e8c768"),
     (("validate", "nano", *RECORDS), 0,
-     "8c741f2a4ff27f272cc481e663add789e3e3fe4293ed6a267f8c294aa03e852c"),
+     "1dc576f09a23cc3baefeee5e2be8d9f10bc7586346ae75bee6e1ae330389346c"),
     (("validate", "nano", "--uniform", "3"), 1,
-     "3f25361562fe431eb10a6b4f29a90e2f211c72d3b43b8a4cbfe872d408bb02db"),
+     "455293aabc314e4ae4151aa0af5404731407334678d188a2890bb07415b6dfd1"),
     (("validate", "nano", "--uniform", "3", *RECORDS), 1,
-     "b001df9f96a30a2cdcedc20b250a3577490fea36558021f88ba21a96e7c6674a"),
+     "1e467d7584db6b2ca8937e1717ec1c67f841b6047a9c71bb2216ac0b51921446"),
     (("shapes", "nano"), 0,
      "c06d46be1369a7b1eb865aeeb6e01411445fc8ef17730ce6b2066f6a907787c1"),
     (("shapes", "nano", *RECORDS), 0,
@@ -455,7 +455,7 @@ class TestModuleInvocation:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
-        assert "all 5 checks passed" in proc.stdout
+        assert "all 4 checks passed" in proc.stdout
 
     def test_module_usage_error(self):
         proc = subprocess.run(

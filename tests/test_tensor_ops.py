@@ -306,6 +306,21 @@ class TestKernelValidation:
         with pytest.raises(KernelError):
             ConvKernel(weights=np.ones((6, 2, 3, 3), dtype=np.float32), groups=4)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stride", 1.5), ("stride", 2.0), ("stride", True), ("stride", "2"), ("stride", 0),
+         ("groups", 2.0), ("groups", False), ("groups", -1)],
+    )
+    def test_stride_and_groups_must_be_integers_at_least_one(self, field, value):
+        w = np.ones((2, 1, 3, 3), dtype=np.float32)
+        with pytest.raises(KernelError, match=f"{field} must be an integer >= 1"):
+            ConvKernel(weights=w, **{field: value})
+
+    def test_numpy_integer_stride_and_groups_accepted(self):
+        w = np.ones((2, 1, 3, 3), dtype=np.float32)
+        ker = ConvKernel(weights=w, stride=np.int64(2), groups=np.int32(2))
+        assert ker.in_channels == 2
+
 
 class TestBatchNorm:
     def test_matches_scalar_oracle(self):

@@ -416,6 +416,38 @@ class TestRoundTrip:
             save_weights(store, path)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("spec_digest", "x;form=deployed", "spec_digest must be a string without ';'"),
+            ("form", "training;seed=9", "form must be a string without ';'"),
+            ("form", None, "form must be a string"),
+            ("spec_digest", 7, "spec_digest must be a string"),
+            ("spec_digest", "", "spec_digest '' would load back as None"),
+            ("spec_digest", "none", "spec_digest 'none' would load back as None"),
+            ("seed", "abc", "seed must be an integer or None, got 'abc'"),
+            ("seed", True, "seed must be an integer or None, got True"),
+            ("seed", 2.5, "seed must be an integer or None, got 2.5"),
+        ],
+        ids=["digest-semicolon", "form-semicolon", "form-none", "digest-int",
+             "digest-empty", "digest-none", "seed-str", "seed-bool", "seed-float"],
+    )
+    def test_metadata_that_cannot_load_back_rejected_at_save(self, tmp_path, field, value, match):
+        store = WeightStore(entries={"x": np.ones(2, dtype=np.float32)}, **{field: value})
+        with pytest.raises(WeightFileError, match=match):
+            save_weights(store, tmp_path / "w.mhwt")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [None, 0, -7, 2**70, np.int64(9), np.uint8(200)])
+    def test_every_integer_seed_round_trips(self, tmp_path, seed):
+        store = WeightStore(
+            entries={"x": np.ones(2, dtype=np.float32)},
+            form="deployed", seed=seed, spec_digest="a=b",
+        )
+        save_weights(store, tmp_path / "w.mhwt")
+        loaded = load_weights(tmp_path / "w.mhwt")
+        assert (loaded.form, loaded.seed, loaded.spec_digest) == ("deployed", seed, "a=b")
+
 
 class TestDamageDetection:
     def test_flipped_byte_is_caught(self, tmp_path):
