@@ -9,16 +9,19 @@ weight files) consumes the parsed :class:`ModelSpec`, never raw YAML.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from importlib import resources
 
 import yaml
 
 from .errors import ConfigError
 from .ghfks import BACKBONE_LEVELS, LEVEL_STRIDES
+from .tensor import is_int
 
 __all__ = [
+    "MAX_CASCADE",
     "ModelSpec",
     "PRESET_NAMES",
     "parse_config",
@@ -31,6 +34,9 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("lite-nano", "nano", "small", "medium")
+
+# The most blocks one aggregation section may run in cascade; medium runs 4.
+MAX_CASCADE = 64
 
 
 def round_to_multiple_of_8(value: float) -> int:
@@ -100,7 +106,81 @@ def _key_lines(text: str) -> dict[str, int]:
     return lines
 
 
-_TOP_KEYS = {"scale", "width", "depth", "input_size", "channels", "rephms", "expansion"}
+def _count(least: int):
+    """The schema's rule for an integer of at least ``least``."""
+    return lambda v: is_int(v) and v >= least, f"an integer >= {least}", int
+
+
+# NaN fails the comparison, and so does an integer past the float range
+_NUMBER = (
+    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    and 0 < v <= sys.float_info.max,
+    "a positive finite number",
+    float,
+)
+_STRIDE = LEVEL_STRIDES[BACKBONE_LEVELS[-1]]
+
+# The document schema in canonical order: dotted key -> (ModelSpec field,
+# test, what a failing value must be, conversion to the field's value).
+# parse_config reads a document against it one mapping level at a time and
+# serialize_config writes a spec back in this order.  A key is optional
+# exactly when its field has a default.
+_SCHEMA = {
+    "scale": ("scale", lambda v: isinstance(v, str) and v != "", "a non-empty string", str),
+    "width": ("width", *_NUMBER),
+    "depth": ("depth", *_NUMBER),
+    "input_size": (
+        "input_size",
+        lambda v: is_int(v) and v >= 64 and v % _STRIDE == 0,
+        f"an integer multiple of {_STRIDE} and at least 64",
+        int,
+    ),
+    "channels.stages": (
+        "stage_channels",
+        lambda v: isinstance(v, list) and len(v) == len(BACKBONE_LEVELS)
+        and all(is_int(c) and c >= 8 for c in v),
+        f"a list of {len(BACKBONE_LEVELS)} integers >= 8",
+        tuple,
+    ),
+    "channels.neck": ("neck_channels", *_count(8)),
+    "rephms.backbone.streams": ("backbone_streams", *_count(2)),
+    "rephms.backbone.blocks": ("backbone_blocks", *_count(1)),
+    "rephms.neck.streams": ("neck_streams", *_count(2)),
+    "rephms.neck.blocks": ("neck_blocks", *_count(1)),
+    "expansion": ("expansion", *_NUMBER),
+}
+_KEYS = {field: key for key, (field, *_) in _SCHEMA.items()}
+_OPTIONAL = {
+    key for field, key in _KEYS.items()
+    if ModelSpec.__dataclass_fields__[field].default is not MISSING
+}
+
+
+def _read(node, prefix: str, fail, values: dict) -> None:
+    """Check the mapping at ``prefix`` (``""`` or a dotted key and a dot)
+    against the schema, then read its leaves into ``values`` as spec fields
+    and descend into its mappings."""
+    names = list(dict.fromkeys(
+        key[len(prefix):].split(".")[0] for key in _SCHEMA if key.startswith(prefix)
+    ))
+    where = prefix[:-1] or None
+    if not isinstance(node, dict):
+        fail(f"must be a mapping of {names}", where)
+    unknown = [prefix + str(k) for k in node if k not in names]
+    if unknown:
+        fail(f"unknown key(s): {unknown}", unknown[0])
+    missing = [prefix + n for n in names if n not in node and prefix + n not in _OPTIONAL]
+    if missing:
+        fail(f"missing required key(s): {missing}", where)
+    for name in (n for n in names if n in node):
+        key, value = prefix + name, node[name]
+        if key not in _SCHEMA:
+            _read(value, key + ".", fail, values)
+            continue
+        field, test, wants, convert = _SCHEMA[key]
+        if not test(value):
+            fail(f"must be {wants}, got {value!r}", key)
+        values[field] = convert(value)
 
 
 def parse_config(text: str) -> ModelSpec:
@@ -114,132 +194,63 @@ def parse_config(text: str) -> ModelSpec:
 
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # ValueError: a scalar that the constructor cannot build, such as a
+        # date past the calendar or an integer past Python's digit limit
         raise ConfigError(f"not valid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("configuration must be a YAML mapping")
-
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        fail(f"unknown key(s): {sorted(unknown)}", key=sorted(unknown)[0])
-    missing = {"scale", "width", "depth", "input_size", "channels", "rephms"} - set(data)
-    if missing:
-        raise ConfigError(f"missing required key(s): {sorted(missing)}")
-
-    scale = data["scale"]
-    if not isinstance(scale, str) or not scale:
-        fail("scale must be a non-empty string", key="scale")
-
-    def positive_number(key, value):
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not 0 < value <= sys.float_info.max):  # NaN fails too
-            fail(f"must be a positive finite number, got {value!r}", key=key)
-        return float(value)
-
-    width = positive_number("width", data["width"])
-    depth = positive_number("depth", data["depth"])
-
-    input_size = data["input_size"]
-    if not isinstance(input_size, int) or isinstance(input_size, bool):
-        fail(f"must be an integer, got {input_size!r}", key="input_size")
-    divisor = LEVEL_STRIDES[BACKBONE_LEVELS[-1]]
-    if input_size < 64 or input_size % divisor != 0:
-        fail(
-            f"must be a multiple of {divisor} and at least 64, got {input_size}",
-            key="input_size",
-        )
-
-    channels = data["channels"]
-    if not isinstance(channels, dict):
-        fail("must be a mapping with 'stages' and 'neck'", key="channels")
-    stages = channels.get("stages")
-    if (
-        not isinstance(stages, list)
-        or len(stages) != len(BACKBONE_LEVELS)
-        or any(not isinstance(c, int) or isinstance(c, bool) or c < 8 for c in stages)
-    ):
-        fail(f"must be a list of {len(BACKBONE_LEVELS)} integers >= 8", key="channels.stages")
-    neck = channels.get("neck")
-    if not isinstance(neck, int) or isinstance(neck, bool) or neck < 8:
-        fail(f"must be an integer >= 8, got {neck!r}", key="channels.neck")
-    extra = set(channels) - {"stages", "neck"}
-    if extra:
-        fail(f"unknown key(s): {sorted(extra)}", key="channels")
-
-    rephms = data["rephms"]
-    if not isinstance(rephms, dict) or set(rephms) != {"backbone", "neck"}:
-        fail("must be a mapping with 'backbone' and 'neck'", key="rephms")
-
-    def streams_blocks(section):
-        cfg = rephms[section]
-        key = f"rephms.{section}"
-        if not isinstance(cfg, dict) or set(cfg) != {"streams", "blocks"}:
-            fail("must be a mapping with 'streams' and 'blocks'", key=key)
-        s, b = cfg["streams"], cfg["blocks"]
-        if not isinstance(s, int) or isinstance(s, bool) or s < 2:
-            fail(f"streams must be an integer >= 2, got {s!r}", key=f"{key}.streams")
-        if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-            fail(f"blocks must be an integer >= 1, got {b!r}", key=f"{key}.blocks")
-        return s, b
-
-    backbone_streams, backbone_blocks = streams_blocks("backbone")
-    neck_streams, neck_blocks = streams_blocks("neck")
-
-    expansion = data.get("expansion", 2.0)
-    expansion = positive_number("expansion", expansion)
-
-    spec = ModelSpec(
-        scale=scale,
-        width=width,
-        depth=depth,
-        input_size=input_size,
-        stage_channels=tuple(stages),
-        neck_channels=neck,
-        backbone_streams=backbone_streams,
-        backbone_blocks=backbone_blocks,
-        neck_streams=neck_streams,
-        neck_blocks=neck_blocks,
-        expansion=expansion,
-    )
-    _check_divisibility(spec)
+    values = {}
+    _read(data, "", fail, values)
+    spec = ModelSpec(**values)
+    _check_sizes(spec, fail)
     return spec
 
 
-def _check_divisibility(spec: ModelSpec) -> None:
-    """Scaled widths must split evenly into the configured stream counts."""
-    for level, c in zip(BACKBONE_LEVELS, spec.scaled_stage_channels):
+def _check_sizes(spec: ModelSpec, fail) -> None:
+    """Checks across keys.  A section's cascade, the (streams - 1) x
+    depth-scaled blocks that run one after another, is at most
+    :data:`MAX_CASCADE`, so a config cannot ask for millions of blocks; and
+    the scaled widths split evenly into the stream counts."""
+    for section in ("backbone", "neck"):
+        try:
+            blocks = getattr(spec, f"scaled_{section}_blocks")
+        except OverflowError:  # a block count past the float range
+            blocks = math.inf
+        cascade = (getattr(spec, f"{section}_streams") - 1) * blocks
+        if cascade > MAX_CASCADE:
+            fail(
+                f"cascade of {cascade} blocks ((streams - 1) x depth-scaled "
+                f"blocks) exceeds the limit of {MAX_CASCADE}",
+                _KEYS[f"{section}_blocks"].rpartition(".")[0],
+            )
+    try:
+        stages, neck = spec.scaled_stage_channels, spec.scaled_neck_channels
+    except OverflowError:
+        fail("a scaled width is past the float range", _KEYS["width"])
+    for level, c in zip(BACKBONE_LEVELS, stages):
         if c % spec.backbone_streams != 0:
-            raise ConfigError(
+            fail(
                 f"stage {level} width {c} (after scaling) is not divisible by "
                 f"{spec.backbone_streams} backbone streams",
-                key="channels.stages",
+                _KEYS["stage_channels"],
             )
-    w = spec.scaled_neck_channels
-    if w % spec.neck_streams != 0:
-        raise ConfigError(
-            f"neck width {w} (after scaling) is not divisible by "
+    if neck % spec.neck_streams != 0:
+        fail(
+            f"neck width {neck} (after scaling) is not divisible by "
             f"{spec.neck_streams} neck streams",
-            key="channels.neck",
+            _KEYS["neck_channels"],
         )
 
 
 def serialize_config(spec: ModelSpec) -> str:
     """Canonical YAML form of a spec; parse(serialize(s)) == s."""
-    doc = {
-        "scale": spec.scale,
-        "width": spec.width,
-        "depth": spec.depth,
-        "input_size": spec.input_size,
-        "channels": {
-            "stages": list(spec.stage_channels),
-            "neck": spec.neck_channels,
-        },
-        "rephms": {
-            "backbone": {"streams": spec.backbone_streams, "blocks": spec.backbone_blocks},
-            "neck": {"streams": spec.neck_streams, "blocks": spec.neck_blocks},
-        },
-        "expansion": spec.expansion,
-    }
+    doc: dict = {}
+    for key, (field, *_) in _SCHEMA.items():
+        *parents, name = key.split(".")
+        node = doc
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        value = getattr(spec, field)
+        node[name] = list(value) if isinstance(value, tuple) else value
     return yaml.safe_dump(doc, sort_keys=False)
 
 

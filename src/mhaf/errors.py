@@ -34,8 +34,8 @@ class NumericError(MhafError):
 
 
 class ConfigError(MhafError):
-    """A model configuration or a run setting (a trial or iteration count)
-    is malformed or violates a constraint."""
+    """A model configuration or a run setting (a trial or iteration count, or
+    a seed) is malformed or violates a constraint."""
 
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
         self.key = key

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import FUSION_ROLES, ConvUnit, aaf_fuse, fold_slot, rephms_forward, saf_fuse
-from .errors import ConfigError, NumericError, ShapeError, StateError
+from .errors import NumericError, ShapeError, StateError
 from .graph import ModelGraph, Node, check_input_size, node_param_entries, rephms_spec
-from .tensor import batchnorm_infer, check_tensor4, conv2d_fast, conv2d_naive, silu
+from .tensor import batchnorm_infer, check_setting, check_tensor4, conv2d_fast, conv2d_naive, silu
 from .weights import WeightStore, bind_node_weights, validate_store
 
 __all__ = ["forward", "fuse_model", "FusionOutcome", "benchmark_forward", "BenchResult"]
@@ -267,8 +267,7 @@ def benchmark_forward(
 ) -> BenchResult:
     """Median-of-N timing after :data:`WARMUPS` untimed runs (median resists
     scheduler noise better than the mean)."""
-    if iterations < 1:
-        raise ConfigError(f"iterations must be at least 1, got {iterations}")
+    check_setting("iterations", iterations, 1)
     for _ in range(WARMUPS):
         forward(graph, store, x)
     samples = []

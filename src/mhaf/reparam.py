@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, KernelError, ShapeError
-from .tensor import BN_EPS, BNParams, ConvKernel, batchnorm_infer, conv2d_fast
+from .errors import KernelError, ShapeError
+from .tensor import BN_EPS, BNParams, ConvKernel, batchnorm_infer, check_setting, conv2d_fast
 
 __all__ = [
     "RepHConvSpec",
@@ -240,8 +240,8 @@ def verify_equivalence(
     difference.  Wall-clock per form is recorded as a side effect (the
     deployed form should never be slower).
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+    check_setting("trials", trials, 1)
+    check_setting("seed", seed, 0)
     rng = np.random.default_rng(seed)
     max_abs = 0.0
     mean_abs = 0.0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import KernelError, ShapeError
+from .errors import ConfigError, KernelError, ShapeError
 
 BN_EPS = 1e-5  # the variance offset of every batch norm
 
@@ -47,12 +47,22 @@ __all__ = [
     "concat_channels",
     "split_channels",
     "is_int",
+    "check_setting",
 ]
 
 
 def is_int(value) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_setting(name: str, value, least: int) -> None:
+    """Raise :class:`ConfigError` unless ``value``, a run setting such as a
+    trial count or a seed, is an integer of at least ``least``."""
+    if not is_int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}")
 
 
 def to_tensor4(arr) -> np.ndarray:

@@ -49,7 +49,7 @@ from .graph import (
     slot_entries,
 )
 from .reparam import RepHConvWeights
-from .tensor import BNParams, ConvKernel, is_int
+from .tensor import BNParams, ConvKernel, check_setting, is_int
 
 __all__ = [
     "WeightStore",
@@ -91,6 +91,7 @@ def init_weights(graph: ModelGraph, seed: int = 0) -> WeightStore:
     drawn in graph order from a single seeded generator, so equal seeds give
     byte-identical stores.
     """
+    check_setting("seed", seed, 0)
     rng = np.random.default_rng(seed)
     store = WeightStore(
         form=graph.form, seed=seed, spec_digest=graph.meta.get("spec_hash")

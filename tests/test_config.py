@@ -1,8 +1,10 @@
 """Tests for model configuration parsing, scaling, and presets."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mhaf.config import (
+    MAX_CASCADE,
     PRESET_NAMES,
     ConfigError,
     load_preset,
@@ -13,6 +15,8 @@ from mhaf.config import (
     serialize_config,
     spec_hash,
 )
+
+from test_model import model_specs
 
 
 def nano_text():
@@ -136,6 +140,41 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config("- just\n- a\n- list\n")
 
+    @pytest.mark.parametrize("where", ["top", "channels"])
+    def test_mixed_type_unknown_keys_rejected(self, where):
+        # sorting the unknown keys to name one compared 1 with 'foo'
+        text = nano_text()
+        if where == "top":
+            text += "1: 2\nfoo: 3\n"
+        else:
+            text = text.replace("  neck: 320\n", "  neck: 320\n  1: 2\n  foo: 3\n")
+        prefix = "" if where == "top" else "channels."
+        with pytest.raises(ConfigError, match=rf"^config key '{prefix}1' \(line \d+\): unknown"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text, key", [
+        # a literal dotted key is a top-level key, not a path into `channels`
+        ("channels.stages: [64, 128, 256, 512]\n", "channels.stages"),
+        ("    foo: 3\n", "rephms.neck.foo"),
+    ], ids=["literal-dotted", "nested"])
+    def test_unknown_key_named_by_dotted_path(self, text, key):
+        with pytest.raises(ConfigError, match=rf"^config key '{key}' \(line 19\): unknown"):
+            parse_config(nano_text().replace("expansion: 2.0\n", "") + text)
+
+    def test_missing_nested_key_named_by_dotted_path(self):
+        text = nano_text().replace("  neck: 320\n", "")
+        with pytest.raises(ConfigError, match=r"'channels' \(line 5\): .*\['channels.neck'\]"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("value", [
+        "2001-13-45",  # a date past the calendar
+        "1" * 5000,  # past Python's integer digit limit
+        "[" * 800 + "]" * 800,  # nested past the recursion limit
+    ], ids=["date", "digits", "nesting"])
+    def test_unbuildable_scalar_rejected(self, value):
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            parse_config(nano_text().replace("scale: nano", f"scale: {value}"))
+
 
 class TestHash:
     def test_hash_is_stable_and_short(self):
@@ -187,3 +226,105 @@ class TestFieldValidation:
         line = next(ln for ln in text.splitlines() if ln.startswith(f"{key}: "))
         with pytest.raises(ConfigError, match=rf"^config key '{key}' \(line \d+\): "):
             parse_config(text.replace(line, f"{key}: {value}"))
+
+    def test_scaled_width_past_float_range_rejected(self):
+        text = nano_text().replace("neck: 320", "neck: 1" + "0" * 400)
+        with pytest.raises(ConfigError, match=r"^config key 'width' \(line 2\): .*float range"):
+            parse_config(text)
+
+
+def streams_blocks(text, section, streams, blocks):
+    """``text`` with one rephms section's counts replaced."""
+    lines = text.splitlines(keepends=True)
+    at = lines.index(f"  {section}:\n") + 1
+    lines[at : at + 2] = [f"    streams: {streams}\n", f"    blocks: {blocks}\n"]
+    return "".join(lines)
+
+
+class TestCascadeLimit:
+    """(streams - 1) x depth-scaled blocks run in cascade per section; a
+    config asking for more than MAX_CASCADE is refused before any graph
+    exists, so these tests take milliseconds."""
+
+    def test_presets_sit_well_below_the_limit(self):
+        cascades = {}
+        for name in PRESET_NAMES:
+            s = load_preset(name)
+            cascades[name] = (
+                (s.backbone_streams - 1) * s.scaled_backbone_blocks,
+                (s.neck_streams - 1) * s.scaled_neck_blocks,
+            )
+        assert cascades == {"lite-nano": (1, 1), "nano": (1, 1), "small": (2, 2), "medium": (4, 4)}
+        assert MAX_CASCADE == 64
+
+    def test_huge_depth_rejected(self):
+        text = nano_text().replace("depth: 0.33", "depth: 999999.0")
+        match = r"^config key 'rephms.backbone' \(line 13\): cascade of 2999997 blocks"
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+    def test_limit_is_inclusive(self):
+        # 3 blocks x 21.3 rounds to 64, x 21.5 to 65
+        at = parse_config(nano_text().replace("depth: 0.33", "depth: 21.3"))
+        assert (at.neck_streams - 1) * at.scaled_neck_blocks == MAX_CASCADE
+        text = nano_text().replace("depth: 0.33", "depth: 21.5")
+        with pytest.raises(ConfigError, match="rephms.backbone.*cascade of 65 blocks"):
+            parse_config(text)
+
+    def test_each_section_named(self):
+        text = streams_blocks(nano_text(), "backbone", 2, 1)
+        text = streams_blocks(text, "neck", 4, 3)  # (4 - 1) x 64 blocks -> 192
+        with pytest.raises(ConfigError, match=r"'rephms.neck' \(line 16\): cascade of 192"):
+            parse_config(text.replace("depth: 0.33", "depth: 21.3"))
+
+    def test_block_count_past_float_range_rejected(self):
+        text = streams_blocks(nano_text(), "backbone", 2, "1" + "0" * 400)
+        with pytest.raises(ConfigError, match="'rephms.backbone'.*cascade of inf"):
+            parse_config(text)
+
+
+MUTATION_VALUES = (
+    "0", "1", "-1", "2.5", "1" + "0" * 400, "999999.0", ".nan", ".inf", "null",
+    "true", "''", "x", "[]", "{}", "[64, 128]", "{streams: 2}", "2001-01-01",
+)
+MUTATION_KEYS = ("foo", "1", "null", "true", "channels.stages", "neck", "blocks")
+
+
+@st.composite
+def mutated_nano(draw):
+    """Nano's canonical text after a few line edits: a line deleted,
+    duplicated, re-valued, re-indented or cut, or an unknown key added."""
+    lines = nano_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "copy", "value", "indent", "cut", "key")))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "copy":
+            lines.insert(i, lines[draw(st.integers(0, len(lines) - 1))])
+        elif op == "value":
+            lines[i] = lines[i].rpartition(" ")[0] + " " + draw(st.sampled_from(MUTATION_VALUES))
+        elif op == "indent":
+            lines[i] = " " * draw(st.sampled_from((0, 1, 2, 4))) + lines[i].lstrip()
+        elif op == "cut":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            key, value = draw(st.sampled_from(MUTATION_KEYS)), draw(st.sampled_from(MUTATION_VALUES))
+            lines.insert(i, " " * draw(st.sampled_from((0, 2, 4))) + f"{key}: {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestParseProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_nano())
+    def test_mutated_text_parses_or_raises_config_error(self, text):
+        try:
+            spec = parse_config(text)
+        except ConfigError:
+            return
+        assert parse_config(serialize_config(spec)) == spec
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(spec=model_specs())
+    def test_serialize_round_trips(self, spec):
+        assert parse_config(serialize_config(spec)) == spec

@@ -607,6 +607,7 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("counts, message", [
         ({"iterations": 0}, "iterations must be at least 1, got 0"),
+        ({"iterations": 2.5}, "iterations must be an integer, got 2.5"),
     ])
     def test_bad_counts_rejected_before_any_forward(self, monkeypatch, counts, message):
         graph, store = tiny_setup()

@@ -172,6 +172,16 @@ class TestVerifyEquivalence:
         with pytest.raises(ConfigError, match="trials must be at least 1, got 0"):
             verify_equivalence(RepHConvSpec(8, 5), trials=0)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+    ])
+    def test_bad_trials_and_seeds_rejected(self, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            verify_equivalence(RepHConvSpec(8, 5), **settings)
+
     def test_record_and_summary_carry_the_numbers(self):
         report = verify_equivalence(RepHConvSpec(4, 5), trials=3, seed=5)
         rec = report.to_record()

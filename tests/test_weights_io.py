@@ -14,7 +14,7 @@ import pytest
 
 from mhaf import weights
 from mhaf.config import load_preset
-from mhaf.errors import ShapeError, StateError, WeightFileError
+from mhaf.errors import ConfigError, ShapeError, StateError, WeightFileError
 from mhaf.graph import assemble, graph_param_entries, node_param_entries
 from mhaf.model import fuse_model
 from mhaf.tensor import BNParams, ConvKernel
@@ -225,6 +225,18 @@ class TestInitialization:
         s1 = init_weights(graph, seed=1)
         name = "stem.1.conv.weight"
         assert not np.array_equal(s0[name], s1[name])
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be at least 0, got -1"),
+        (2.5, "seed must be an integer, got 2.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (True, "seed must be an integer, got True"),
+    ])
+    def test_bad_seed_rejected(self, seed, message):
+        # numpy raises ValueError or TypeError for the first three, and a
+        # bool seed made a store that save_weights then refused
+        with pytest.raises(ConfigError, match=message):
+            init_weights(assemble(load_preset("lite-nano")), seed=seed)
 
     def test_bn_entries_start_as_identity(self):
         store = small_store()
