@@ -22,6 +22,7 @@ from .tensor import is_int
 
 __all__ = [
     "MAX_CASCADE",
+    "MAX_WIDTH",
     "ModelSpec",
     "PRESET_NAMES",
     "parse_config",
@@ -37,6 +38,8 @@ PRESET_NAMES = ("lite-nano", "nano", "small", "medium")
 
 # The most blocks one aggregation section may run in cascade; medium runs 4.
 MAX_CASCADE = 64
+# The widest scaled stage, neck or expanded block width; medium's widest is 576.
+MAX_WIDTH = 4096
 
 
 def round_to_multiple_of_8(value: float) -> int:
@@ -51,7 +54,8 @@ def _scaled_blocks(base: int, depth: float) -> int:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Validated model configuration.
+    """A model configuration that checks itself however it is built: each
+    field passes its schema rule, then the checks across fields run.
 
     ``stage_channels`` and ``neck_channels`` are the base (unscaled) widths;
     the ``scaled_*`` properties apply the width multiplier and the
@@ -70,6 +74,14 @@ class ModelSpec:
     neck_blocks: int
     expansion: float = 2.0
 
+    def __post_init__(self):
+        for key, (field, test, wants, convert) in _SCHEMA.items():
+            value = getattr(self, field)
+            if not test(value):
+                raise ConfigError(f"must be {wants}, got {value!r}", key)
+            object.__setattr__(self, field, convert(value))
+        _check_sizes(self)
+
     @property
     def scaled_stage_channels(self) -> tuple[int, int, int, int]:
         return tuple(round_to_multiple_of_8(c * self.width) for c in self.stage_channels)
@@ -87,25 +99,6 @@ class ModelSpec:
         return _scaled_blocks(self.neck_blocks, self.depth)
 
 
-def _key_lines(text: str) -> dict[str, int]:
-    """Map dotted key paths to 1-based line numbers, for error messages."""
-    lines: dict[str, int] = {}
-    try:
-        root = yaml.compose(text)
-    except yaml.YAMLError:
-        return lines
-
-    def walk(node, prefix):
-        if isinstance(node, yaml.MappingNode):
-            for key_node, value_node in node.value:
-                path = f"{prefix}.{key_node.value}" if prefix else str(key_node.value)
-                lines[path] = key_node.start_mark.line + 1
-                walk(value_node, path)
-
-    walk(root, "")
-    return lines
-
-
 def _count(least: int):
     """The schema's rule for an integer of at least ``least``."""
     return lambda v: is_int(v) and v >= least, f"an integer >= {least}", int
@@ -119,12 +112,14 @@ _NUMBER = (
     float,
 )
 _STRIDE = LEVEL_STRIDES[BACKBONE_LEVELS[-1]]
+_STR_TAG = yaml.resolver.BaseResolver.DEFAULT_SCALAR_TAG
 
 # The document schema in canonical order: dotted key -> (ModelSpec field,
 # test, what a failing value must be, conversion to the field's value).
-# parse_config reads a document against it one mapping level at a time and
-# serialize_config writes a spec back in this order.  A key is optional
-# exactly when its field has a default.
+# parse_config reads a document against it one mapping level at a time,
+# ModelSpec checks and converts each field by it, and serialize_config
+# writes a spec back in this order.  A key is optional exactly when its
+# field has a default.
 _SCHEMA = {
     "scale": ("scale", lambda v: isinstance(v, str) and v != "", "a non-empty string", str),
     "width": ("width", *_NUMBER),
@@ -137,7 +132,7 @@ _SCHEMA = {
     ),
     "channels.stages": (
         "stage_channels",
-        lambda v: isinstance(v, list) and len(v) == len(BACKBONE_LEVELS)
+        lambda v: isinstance(v, (list, tuple)) and len(v) == len(BACKBONE_LEVELS)
         and all(is_int(c) and c >= 8 for c in v),
         f"a list of {len(BACKBONE_LEVELS)} integers >= 8",
         tuple,
@@ -156,60 +151,72 @@ _OPTIONAL = {
 }
 
 
-def _read(node, prefix: str, fail, values: dict) -> None:
-    """Check the mapping at ``prefix`` (``""`` or a dotted key and a dot)
-    against the schema, then read its leaves into ``values`` as spec fields
-    and descend into its mappings."""
+def _read(loader, node, prefix: str, values: dict, lines: dict) -> None:
+    """Read the mapping node at ``prefix`` (``""`` or a dotted key and a
+    dot) against the schema: record each key's line, build each leaf into
+    ``values`` under its spec field, and descend into the nested mappings.
+    Keys are named as the document spells them."""
     names = list(dict.fromkeys(
         key[len(prefix):].split(".")[0] for key in _SCHEMA if key.startswith(prefix)
     ))
     where = prefix[:-1] or None
-    if not isinstance(node, dict):
-        fail(f"must be a mapping of {names}", where)
-    unknown = [prefix + str(k) for k in node if k not in names]
+    if not isinstance(node, yaml.MappingNode):
+        raise ConfigError(f"must be a mapping of {names}", where)
+    for key_node, _ in node.value:
+        if not isinstance(key_node, yaml.ScalarNode):
+            raise ConfigError(f"not valid YAML: a key must be a scalar\n{key_node.start_mark}")
+        key = prefix + key_node.value
+        repeated = key in lines
+        lines[key] = key_node.start_mark.line + 1
+        if repeated:
+            raise ConfigError("repeated key", key)
+    loader.flatten_mapping(node)  # merge keys: the merged pairs go first
+    # a schema key is a string: not `null:`, `1:` or `!!int width:`
+    unknown = [prefix + str(k.value) for k, _ in node.value
+               if k.tag != _STR_TAG or k.value not in names]
     if unknown:
-        fail(f"unknown key(s): {unknown}", unknown[0])
-    missing = [prefix + n for n in names if n not in node and prefix + n not in _OPTIONAL]
+        raise ConfigError(f"unknown key(s): {unknown}", unknown[0])
+    found = {k.value: v for k, v in node.value}
+    missing = [prefix + n for n in names if n not in found and prefix + n not in _OPTIONAL]
     if missing:
-        fail(f"missing required key(s): {missing}", where)
-    for name in (n for n in names if n in node):
-        key, value = prefix + name, node[name]
-        if key not in _SCHEMA:
-            _read(value, key + ".", fail, values)
-            continue
-        field, test, wants, convert = _SCHEMA[key]
-        if not test(value):
-            fail(f"must be {wants}, got {value!r}", key)
-        values[field] = convert(value)
+        raise ConfigError(f"missing required key(s): {missing}", where)
+    for name in (n for n in names if n in found):
+        key = prefix + name
+        if key in _SCHEMA:
+            values[_SCHEMA[key][0]] = loader.construct_object(found[name], deep=True)
+        else:
+            _read(loader, found[name], key + ".", values, lines)
 
 
 def parse_config(text: str) -> ModelSpec:
-    """Parse and validate a YAML configuration document.
+    """Parse a YAML configuration document into a checked :class:`ModelSpec`.
 
-    Raises :class:`ConfigError` naming the offending key (and its line when
-    it exists in the document) for every constraint violation.
+    Every constraint violation raises :class:`ConfigError` naming the key as
+    the document spells it, and its line when the key is in the document.
     """
-    def fail(msg, key=None):
-        raise ConfigError(msg, key=key, line=_key_lines(text).get(key))
-
+    values, lines = {}, {}
     try:
-        data = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        # ValueError: a scalar that the constructor cannot build, such as a
-        # date past the calendar or an integer past Python's digit limit
-        raise ConfigError(f"not valid YAML: {exc}") from exc
-    values = {}
-    _read(data, "", fail, values)
-    spec = ModelSpec(**values)
-    _check_sizes(spec, fail)
-    return spec
+        try:
+            loader = yaml.SafeLoader(text)
+            _read(loader, loader.get_single_node(), "", values, lines)
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
+            # ValueError: a scalar that the constructor cannot build, such as a
+            # date past the calendar or an integer past Python's digit limit
+            raise ConfigError(f"not valid YAML: {exc}") from exc
+        return ModelSpec(**values)
+    except ConfigError as exc:
+        if exc.key not in lines:
+            raise
+        raise ConfigError(exc.message, exc.key, lines[exc.key]) from None
 
 
-def _check_sizes(spec: ModelSpec, fail) -> None:
+def _check_sizes(spec: ModelSpec) -> None:
     """Checks across keys.  A section's cascade, the (streams - 1) x
     depth-scaled blocks that run one after another, is at most
-    :data:`MAX_CASCADE`, so a config cannot ask for millions of blocks; and
-    the scaled widths split evenly into the stream counts."""
+    :data:`MAX_CASCADE`, so a config cannot ask for millions of blocks; the
+    scaled widths split evenly into the stream counts; and no scaled width
+    and no block's expanded width is past :data:`MAX_WIDTH`, nor an
+    expanded width below 1."""
     for section in ("backbone", "neck"):
         try:
             blocks = getattr(spec, f"scaled_{section}_blocks")
@@ -217,7 +224,7 @@ def _check_sizes(spec: ModelSpec, fail) -> None:
             blocks = math.inf
         cascade = (getattr(spec, f"{section}_streams") - 1) * blocks
         if cascade > MAX_CASCADE:
-            fail(
+            raise ConfigError(
                 f"cascade of {cascade} blocks ((streams - 1) x depth-scaled "
                 f"blocks) exceeds the limit of {MAX_CASCADE}",
                 _KEYS[f"{section}_blocks"].rpartition(".")[0],
@@ -225,20 +232,36 @@ def _check_sizes(spec: ModelSpec, fail) -> None:
     try:
         stages, neck = spec.scaled_stage_channels, spec.scaled_neck_channels
     except OverflowError:
-        fail("a scaled width is past the float range", _KEYS["width"])
+        raise ConfigError("a scaled width is past the float range", _KEYS["width"])
     for level, c in zip(BACKBONE_LEVELS, stages):
         if c % spec.backbone_streams != 0:
-            fail(
+            raise ConfigError(
                 f"stage {level} width {c} (after scaling) is not divisible by "
                 f"{spec.backbone_streams} backbone streams",
                 _KEYS["stage_channels"],
             )
     if neck % spec.neck_streams != 0:
-        fail(
+        raise ConfigError(
             f"neck width {neck} (after scaling) is not divisible by "
             f"{spec.neck_streams} neck streams",
             _KEYS["neck_channels"],
         )
+    for field, c, streams in (
+        *(("stage_channels", c, spec.backbone_streams) for c in stages),
+        ("neck_channels", neck, spec.neck_streams),
+    ):
+        if c > MAX_WIDTH:
+            raise ConfigError(
+                f"width {c} (after scaling) exceeds the limit of {MAX_WIDTH}", _KEYS[field]
+            )
+        # a block widens its stream to round(stream width x expansion);
+        # min() keeps an infinite product away from round()
+        if not 1 <= round(min(c // streams * spec.expansion, MAX_WIDTH + 1)) <= MAX_WIDTH:
+            raise ConfigError(
+                f"{spec.expansion} x a {c // streams}-channel stream rounds to a "
+                f"block width outside 1..{MAX_WIDTH}",
+                _KEYS["expansion"],
+            )
 
 
 def serialize_config(spec: ModelSpec) -> str:

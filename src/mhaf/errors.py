@@ -38,6 +38,7 @@ class ConfigError(MhafError):
     a seed) is malformed or violates a constraint."""
 
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
+        self.message = message
         self.key = key
         self.line = line
         prefix = ""

@@ -33,7 +33,7 @@ from .blocks import (
     saf_layout,
 )
 from .config import ModelSpec, spec_hash
-from .errors import GraphError, ShapeError
+from .errors import GraphError, MhafError, ShapeError
 from .ghfks import BACKBONE_LEVELS, LEVEL_STRIDES, NECK_LEVELS, KernelPlan, default_plan
 from .tensor import conv_output_size, is_int
 
@@ -616,7 +616,7 @@ def validate_model(spec: ModelSpec, plan: KernelPlan | None = None) -> list[Chec
             detail = fn()
             checks.append(Check(name, True, detail or "ok"))
             return True
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
+        except MhafError as exc:  # a failed check; anything else is a bug
             checks.append(Check(name, False, str(exc)))
             return False
 

@@ -1,15 +1,22 @@
 """Tests for the command-line interface: output, formats, and exit codes."""
 
 import hashlib
+import io
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from mhaf.cli import main
 from mhaf.records import parse_records
 from mhaf.weights import load_weights
+
+from test_config import mutated_nano
 
 
 def run(capsys, *argv):
@@ -127,20 +134,19 @@ class TestValidate:
         assert len(recs) == 4
         assert all(r["type"] == "check" and r["passed"] for r in recs)
 
-    def test_collapsed_block_width_fails_graph_build(self, capsys, tmp_path):
-        # the config parses, but no weight command could build its blocks
+    def test_collapsed_block_width_is_a_config_error(self, capsys, tmp_path):
+        # no weight command could build blocks of zero width, so the config
+        # is refused before any graph exists
         from mhaf.config import load_preset, serialize_config
 
         text = serialize_config(load_preset("nano"))
         assert "expansion: 2.0" in text
         path = tmp_path / "collapsed.yaml"
         path.write_text(text.replace("expansion: 2.0", "expansion: 0.01"))
-        code, out, _ = run(capsys, "validate", str(path))
-        assert code == 1
-        assert "[ FAIL ] graph-build: expansion 0.01 collapses the block width" in out
-        code, _, err = run(capsys, "shapes", str(path))
-        assert code == 1
-        assert "collapses the block width" in err
+        for command in ("validate", "shapes"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 1 and out == ""
+            assert "config key 'expansion' (line 19): 0.01 x a 16-channel stream" in err
 
     @pytest.mark.parametrize("value", [".nan", ".inf"])
     @pytest.mark.parametrize("key", ["width", "depth", "expansion"])
@@ -155,6 +161,19 @@ class TestValidate:
         assert (code, out) == (1, "")
         assert err.startswith(f"mhaf: config key '{key}'"), err
         assert "Traceback" not in err
+
+
+class TestMutatedConfigProperty:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=mutated_nano())
+    def test_validate_and_shapes_exit_0_or_1(self, text):
+        # a config is refused or checked, never a traceback
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.yaml"
+            path.write_text(text, encoding="utf-8")
+            for command in ("validate", "shapes"):
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    assert main([command, str(path)]) in (0, 1)
 
 
 class TestInspection:

@@ -1,12 +1,16 @@
 """Tests for model configuration parsing, scaling, and presets."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mhaf.config import (
     MAX_CASCADE,
+    MAX_WIDTH,
     PRESET_NAMES,
     ConfigError,
+    ModelSpec,
     load_preset,
     normalize_config,
     parse_config,
@@ -174,6 +178,128 @@ class TestParse:
     def test_unbuildable_scalar_rejected(self, value):
         with pytest.raises(ConfigError, match="not valid YAML"):
             parse_config(nano_text().replace("scale: nano", f"scale: {value}"))
+
+
+    @pytest.mark.parametrize("key", ["null", "true", "~", "NULL"])
+    def test_unknown_key_named_as_spelled(self, key):
+        text = nano_text().replace("expansion: 2.0\n", "") + f"{key}: 1\n"
+        with pytest.raises(ConfigError, match=rf"^config key '{key}' \(line 19\): unknown"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("line, key", [
+        ("width: 0.75", "width"),
+        ("  neck: 320", "channels.neck"),
+        ("    streams: 2", "rephms.backbone.streams"),
+    ])
+    def test_repeated_key_rejected_at_second_line(self, line, key):
+        # YAML keeps the last of two equal keys; a config refuses the second
+        lines = nano_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(line[:-3])) + 1
+        lines.insert(at, line)
+        with pytest.raises(ConfigError, match=rf"^config key '{key}' \(line {at + 1}\): repeated key$"):
+            parse_config("\n".join(lines) + "\n")
+
+    def test_merge_keys_are_read(self):
+        text = nano_text().replace(
+            "  backbone:\n    streams: 2\n    blocks: 3\n  neck:\n    streams: 2\n    blocks: 3\n",
+            "  backbone: &section\n    streams: 2\n    blocks: 3\n  neck:\n    <<: *section\n    blocks: 1\n",
+        )
+        spec = parse_config(text)
+        assert (spec.neck_streams, spec.neck_blocks) == (2, 1)
+        assert spec == dataclasses.replace(load_preset("nano"), neck_blocks=1)
+
+    def test_tagged_key_is_not_a_schema_key(self):
+        # PyYAML would build this key as an int, or fail to
+        text = nano_text().replace("width: 0.5", "!!int width: 0.5")
+        with pytest.raises(ConfigError, match=r"^config key 'width' \(line 2\): unknown"):
+            parse_config(text)
+
+    def test_collection_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"a key must be a scalar\n.* line 20"):
+            parse_config(nano_text() + "? [a, b]\n: 1\n")
+
+
+def nano_fields(**changes):
+    """Nano's spec fields as ``ModelSpec`` keywords, with ``changes``."""
+    return {**dataclasses.asdict(load_preset("nano")), **changes}
+
+
+class TestSpecChecksItself:
+    """A spec built in code runs the same checks as one parsed from text,
+    naming the document key, without a line."""
+
+    @pytest.mark.parametrize("depth", [1e308, 999999.0])
+    def test_replace_with_huge_depth_rejected(self, depth):
+        with pytest.raises(ConfigError, match=r"^config key 'rephms.backbone': cascade of"):
+            dataclasses.replace(load_preset("nano"), depth=depth)
+
+    @pytest.mark.parametrize("field, value, key", [
+        ("width", True, "width"),
+        ("stage_channels", (64, 128, 256), "channels.stages"),
+        ("neck_channels", 320.0, "channels.neck"),
+        ("input_size", 641, "input_size"),
+        ("expansion", float("nan"), "expansion"),
+    ])
+    def test_bad_field_named_by_key(self, field, value, key):
+        with pytest.raises(ConfigError, match=rf"^config key '{key}': must be "):
+            ModelSpec(**nano_fields(**{field: value}))
+
+    def test_fields_are_converted(self):
+        spec = ModelSpec(**nano_fields(stage_channels=[64, 128, 256, 512], width=1, expansion=2))
+        assert spec.stage_channels == (64, 128, 256, 512)
+        assert (spec.width, spec.expansion) == (1.0, 2.0)
+        assert isinstance(spec.width, float) and isinstance(spec.expansion, float)
+        assert ModelSpec(**nano_fields()) == load_preset("nano")
+
+
+class TestWidthBounds:
+    """Every scaled stage and neck width, and every block's expanded width
+    (stream width x expansion, rounded), lies in 1..MAX_WIDTH.  Only
+    parse_config runs here: no graph is built on a wide config."""
+
+    def test_presets_sit_below_the_limit(self):
+        widest = max(max(load_preset(n).scaled_stage_channels) for n in PRESET_NAMES)
+        assert (widest, MAX_WIDTH) == (576, 4096)
+
+    def test_tiny_width_still_gives_eight_channels(self):
+        spec = parse_config(nano_text().replace("width: 0.5", "width: 1.0e-300"))
+        assert spec.scaled_stage_channels == (8, 8, 8, 8)
+        assert spec.scaled_neck_channels == 8
+
+    @pytest.mark.parametrize("base, accepted", [(4096, True), (4104, False)])
+    def test_stage_width_bound(self, base, accepted):
+        text = nano_text().replace("width: 0.5", "width: 1.0").replace("  - 512", f"  - {base}")
+        text = text.replace("expansion: 2.0", "expansion: 1.0")
+        if accepted:
+            assert parse_config(text).scaled_stage_channels[-1] == MAX_WIDTH
+        else:
+            match = r"^config key 'channels.stages' \(line 6\): width 4104 .* limit of 4096"
+            with pytest.raises(ConfigError, match=match):
+                parse_config(text)
+
+    @pytest.mark.parametrize("neck, accepted", [
+        ("8192", True), ("8208", False), ("320000000000000000000", False),
+    ])
+    def test_neck_width_bound(self, neck, accepted):
+        text = nano_text().replace("neck: 320", f"neck: {neck}").replace("expansion: 2.0", "expansion: 1.0")
+        if accepted:
+            assert parse_config(text).scaled_neck_channels == MAX_WIDTH
+        else:
+            with pytest.raises(ConfigError, match=r"^config key 'channels.neck' \(line 11\): width"):
+                parse_config(text)
+
+    @pytest.mark.parametrize("expansion, accepted", [
+        # nano's narrowest stream is 16 channels (p2), its widest 128 (p5)
+        ("0.04", True), ("0.03", False), ("32.0", True), ("32.01", False), ("1.0e+308", False),
+    ])
+    def test_expanded_width_bound(self, expansion, accepted):
+        text = nano_text().replace("expansion: 2.0", f"expansion: {expansion}")
+        if accepted:
+            assert parse_config(text).expansion == float(expansion)
+        else:
+            match = r"^config key 'expansion' \(line 19\): .* block width outside 1..4096"
+            with pytest.raises(ConfigError, match=match):
+                parse_config(text)
 
 
 class TestHash:

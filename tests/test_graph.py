@@ -295,6 +295,16 @@ class TestValidateModel:
         ]
         assert all(c.passed for c in checks)
 
+    def test_a_bug_is_not_a_failed_check(self, monkeypatch):
+        # only the package's own errors make a check fail; anything else
+        # is a bug and propagates
+        def broken(spec, plan):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr("mhaf.graph.assemble", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            validate_model(load_preset("nano"))
+
     def test_off_schedule_plan_fails_only_that_check(self):
         checks = validate_model(load_preset("nano"), uniform_plan(3))
         by_name = {c.name: c for c in checks}
