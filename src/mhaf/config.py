@@ -22,6 +22,7 @@ from .tensor import is_int
 
 __all__ = [
     "MAX_CASCADE",
+    "MAX_INPUT",
     "MAX_WIDTH",
     "ModelSpec",
     "PRESET_NAMES",
@@ -40,6 +41,8 @@ PRESET_NAMES = ("lite-nano", "nano", "small", "medium")
 MAX_CASCADE = 64
 # The widest scaled stage, neck or expanded block width; medium's widest is 576.
 MAX_WIDTH = 4096
+# The largest default input size; every preset uses 640.
+MAX_INPUT = 8192
 
 
 def round_to_multiple_of_8(value: float) -> int:
@@ -126,8 +129,8 @@ _SCHEMA = {
     "depth": ("depth", *_NUMBER),
     "input_size": (
         "input_size",
-        lambda v: is_int(v) and v >= 64 and v % _STRIDE == 0,
-        f"an integer multiple of {_STRIDE} and at least 64",
+        lambda v: is_int(v) and 64 <= v <= MAX_INPUT and v % _STRIDE == 0,
+        f"an integer multiple of {_STRIDE} in 64..{MAX_INPUT}",
         int,
     ),
     "channels.stages": (
@@ -149,6 +152,38 @@ _OPTIONAL = {
     key for field, key in _KEYS.items()
     if ModelSpec.__dataclass_fields__[field].default is not MISSING
 }
+
+
+class _Loader(yaml.SafeLoader):
+    """A SafeLoader that records every node written with an explicit tag
+    (``!!bool nano``, ``! 1``): the schema's values are plain scalars and
+    lists, and a tag would send a value to a constructor of its own."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.tagged: set[yaml.Node] = set()
+
+    def compose_node(self, parent, index):
+        tagged = getattr(self.peek_event(), "tag", None) is not None
+        node = super().compose_node(parent, index)
+        if tagged:
+            self.tagged.add(node)
+        return node
+
+
+def _inside(node):
+    """``node`` and every node inside it, each once: an alias may repeat a
+    node or nest it in itself."""
+    todo, seen = [node], set()
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            if isinstance(node, yaml.SequenceNode):
+                todo += node.value
+            elif isinstance(node, yaml.MappingNode):
+                todo += [n for pair in node.value for n in pair]
 
 
 def _read(loader, node, prefix: str, values: dict, lines: dict) -> None:
@@ -182,6 +217,12 @@ def _read(loader, node, prefix: str, values: dict, lines: dict) -> None:
         raise ConfigError(f"missing required key(s): {missing}", where)
     for name in (n for n in names if n in found):
         key = prefix + name
+        # a leaf is refused before any constructor runs on it; a mapping's
+        # own keys and values are checked as _read descends into it
+        within = _inside(found[name]) if key in _SCHEMA else [found[name]]
+        tags = [n.tag for n in within if n in loader.tagged]
+        if tags:
+            raise ConfigError(f"must be a plain value, not one with an explicit YAML tag ({tags[0]})", key)
         if key in _SCHEMA:
             values[_SCHEMA[key][0]] = loader.construct_object(found[name], deep=True)
         else:
@@ -197,7 +238,7 @@ def parse_config(text: str) -> ModelSpec:
     values, lines = {}, {}
     try:
         try:
-            loader = yaml.SafeLoader(text)
+            loader = _Loader(text)
             _read(loader, loader.get_single_node(), "", values, lines)
         except (yaml.YAMLError, ValueError, RecursionError) as exc:
             # ValueError: a scalar that the constructor cannot build, such as a

@@ -20,6 +20,8 @@ from .weights import WeightStore, bind_node_weights, validate_store
 __all__ = ["forward", "fuse_model", "FusionOutcome", "benchmark_forward", "BenchResult"]
 
 WARMUPS = 5  # untimed forwards before benchmark_forward's timed ones
+# Larger than any temporary a nano forward at 320x320 allocates; see _Plan.
+_HEAP_BLOCK = 16 << 20
 
 
 def _eval_node(node: Node, ins: list[np.ndarray], bound, conv_fn) -> np.ndarray:
@@ -65,6 +67,13 @@ class _Plan:
         self.graph = weakref.ref(graph)
         self.objects = (*nodes, *store.entries.values())
         self.key = _plan_key(graph, store)
+        # Allocate and drop one block that is never touched, so it costs no
+        # resident memory.  glibc's malloc serves a request above its mmap
+        # threshold with a fresh mmap, whose pages fault on every call, and
+        # raises that threshold to the size of an mmapped block when it is
+        # freed (mallopt(3)); after this free, the forward's multi-MB
+        # temporaries reuse heap pages whatever ran before the plan.
+        np.empty(_HEAP_BLOCK, dtype=np.uint8)
 
     def fits(self, graph: ModelGraph, store: WeightStore) -> bool:
         objects = (*graph, *store.entries.values())

@@ -23,8 +23,14 @@ of CPython's ``_lzma`` extension: about 2 ms for the 9.3 MB nano file,
 where the numpy lane CRC it replaced took 25-35 ms.  A Python built without
 that extension falls back to a byte-table loop, which takes seconds for
 such a file.  Either way the value is the plain CRC-64/XZ, so the format is
-unchanged.  Loading checks the version first, then verifies the checksum,
-then copies each entry once into its own aligned, writable float32 array.
+unchanged.
+
+Saving and loading stream a file through one 1 MiB chunk, so neither holds
+a copy of the file: the checksum runs on as each chunk, or each payload
+large enough to skip the chunk, goes by.  Loading checks the length, the
+magic and the version first, then the checksum over the whole body, and
+only then the structure, each entry in its own aligned, writable float32
+array.
 """
 
 from __future__ import annotations
@@ -65,6 +71,9 @@ __all__ = [
 META_ENTRY = "__meta__"
 MAGIC = b"MHWT"
 VERSION = 1
+# save_weights and load_weights stage a file's bytes through one reused
+# buffer of this size; a payload of at least a quarter of it bypasses it
+_CHUNK = 1 << 20
 
 
 @dataclass(eq=False)
@@ -272,9 +281,11 @@ def _resolve_lzma_crc64():
 _lzma_crc64 = _resolve_lzma_crc64()
 
 
-def crc64_xz(data) -> int:
+def crc64_xz(data, crc: int = 0) -> int:
     """CRC-64/XZ (reflected, poly 0x42F0E1EBA9EA3693, init/xorout all-ones)
-    of any bytes-like object; the check value of b"123456789" is
+    of any bytes-like object, continued from ``crc``, the checksum of the
+    bytes before it (0 for none): ``crc64_xz(b, crc64_xz(a))`` equals
+    ``crc64_xz(a + b)``.  The check value of b"123456789" is
     0x995DC9BBDF1939FA.
 
     This is the check the .xz format defines, and liblzma computes it:
@@ -285,8 +296,8 @@ def crc64_xz(data) -> int:
     """
     buf = np.frombuffer(data, dtype=np.uint8)
     if _lzma_crc64 is not None:
-        return _lzma_crc64(buf.ctypes.data, buf.size, 0)
-    crc = _MASK
+        return _lzma_crc64(buf.ctypes.data, buf.size, crc)
+    crc ^= _MASK
     for start in range(0, buf.size, _LOOP_BLOCK):
         for b in buf[start : start + _LOOP_BLOCK].tolist():
             crc = _TABLE[(crc ^ b) & 0xFF] ^ (crc >> 8)
@@ -336,8 +347,9 @@ def _decode_meta(arr: np.ndarray, store: WeightStore) -> None:
 
 
 def _entry_parts(name: str, arr: np.ndarray) -> tuple:
-    """An entry's packed header and its little-endian float32 payload, the
-    array itself wherever it already is one (no copy)."""
+    """An entry's packed header and its little-endian float32 payload as a
+    1-D byte view, of the array itself wherever it already is one (no
+    copy)."""
     encoded = name.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise WeightFileError(f"entry name too long: {name[:40]}...")
@@ -346,7 +358,40 @@ def _entry_parts(name: str, arr: np.ndarray) -> tuple:
     header = struct.pack(
         f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape
     )
-    return header, np.ascontiguousarray(arr, dtype="<f4")
+    return header, np.ascontiguousarray(arr, dtype="<f4").reshape(-1).view(np.uint8)
+
+
+class _Sink:
+    """The bytes of a file being written, checksummed on their way out.
+    Pieces under a quarter chunk are staged in one reused chunk; a larger
+    piece is checksummed and written from where it is."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.chunk = memoryview(np.empty(_CHUNK, dtype=np.uint8))
+        self.used = 0
+        self.crc = 0
+
+    def write(self, data) -> None:
+        """Send a 1-D byte view (bytes, or an array's uint8 view)."""
+        n = len(data)
+        if n >= _CHUNK // 4:
+            self.flush()
+            self._out(data)
+            return
+        if self.used + n > _CHUNK:
+            self.flush()
+        self.chunk[self.used : self.used + n] = data
+        self.used += n
+
+    def flush(self) -> None:
+        if self.used:
+            self._out(self.chunk[: self.used])
+            self.used = 0
+
+    def _out(self, data) -> None:
+        self.crc = crc64_xz(data, self.crc)
+        self.fh.write(data)
 
 
 def save_weights(store: WeightStore, path: str) -> None:
@@ -355,8 +400,11 @@ def save_weights(store: WeightStore, path: str) -> None:
     be a C-contiguous float32 array, as :func:`validate_store` requires; any
     other raises a ShapeError naming it before a byte is written, and
     metadata that would not load back as it is raises a WeightFileError
-    naming the field.  Headers and payloads are joined once, so each
-    payload is copied once.
+    naming the field.
+
+    Memory is one 1 MiB chunk: headers and small payloads are copied
+    through it, and a payload of at least a quarter chunk is checksummed
+    and written straight from its array, so no copy of the file is made.
 
     The bytes go to a temporary file beside ``path`` that ``os.replace``
     then moves over it, so an existing file at ``path`` is either left
@@ -367,21 +415,23 @@ def save_weights(store: WeightStore, path: str) -> None:
             f"entry name '{META_ENTRY}' is reserved for the store's metadata"
         )
     _check_meta(store)
-    parts = [struct.pack("<4sII", MAGIC, VERSION, len(store.entries) + 1)]
-    parts += _entry_parts(META_ENTRY, _encode_meta(store))
+    parts = [_entry_parts(META_ENTRY, _encode_meta(store))]
     for name, arr in store.entries.items():
         _check_entry(name, arr)
-        parts += _entry_parts(name, arr)
-    body = b"".join(parts)
-    trailer = struct.pack("<Q", crc64_xz(body))
+        parts.append(_entry_parts(name, arr))
     # a named temp file rather than tempfile.mkstemp, whose 0600 mode would
     # survive the rename; open() keeps the usual umask-derived permissions
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(body)
-            fh.write(trailer)
+            sink = _Sink(fh)
+            sink.write(struct.pack("<4sII", MAGIC, VERSION, len(parts)))
+            for header, payload in parts:
+                sink.write(header)
+                sink.write(payload)
+            sink.flush()
+            fh.write(struct.pack("<Q", sink.crc))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -389,62 +439,158 @@ def save_weights(store: WeightStore, path: str) -> None:
         raise
 
 
-def load_weights(path: str) -> WeightStore:
-    """Read a container: its version from the fixed header first, since the
-    version decides the checksum, then the checksum, before trusting any
-    entry.
+class _Malformed(Exception):
+    """A structural fault in a weight file, reported only once the file's
+    checksum has passed."""
 
-    Each entry is copied once out of the file's bytes, so the loaded arrays
-    are aligned, writable and independent of one another.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(MAGIC) + 4 + 4 + 8:
-        raise WeightFileError(f"'{path}' is too short to be a weight file")
-    if raw[:4] != MAGIC:
-        raise WeightFileError(f"'{path}' lacks the weight-file magic")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != VERSION:
-        raise WeightFileError(f"unsupported weight-file version {version}")
-    body = memoryview(raw)[:-8]
-    (stated,) = struct.unpack_from("<Q", raw, len(body))
-    actual = crc64_xz(body)
-    if stated != actual:
-        raise WeightFileError(
-            f"checksum mismatch in '{path}': stored {stated:016x}, "
-            f"computed {actual:016x}"
-        )
-    (count,) = struct.unpack_from("<I", body, 8)
-    offset = 12
-    store = WeightStore(entries={})
-    seen = set()
+
+class _Source:
+    """The body of a file being read (every byte before its checksum),
+    checksummed as it comes in.  Bytes are staged in one reused chunk; a
+    payload rest of at least a quarter chunk is read straight into its
+    array."""
+
+    def __init__(self, fh, path: str, size: int):
+        self.fh = fh
+        self.path = path
+        self.chunk = memoryview(np.empty(_CHUNK, dtype=np.uint8))
+        self.lo = self.hi = 0  # the staged bytes not yet taken
+        self.left = size - 8  # the body bytes still in the file
+        self.crc = 0
+
+    def remaining(self) -> int:
+        return self.hi - self.lo + self.left
+
+    def take(self, n: int):
+        """The next ``n`` bytes, a header's: a view of the chunk, valid
+        until the next take, or a copy where they straddle a refill."""
+        lo = self.lo
+        if n <= self.hi - lo:
+            self.lo = lo + n
+            return self.chunk[lo : lo + n]
+        out = b""
+        while n > self.hi - self.lo:
+            out += self.chunk[self.lo : self.hi]
+            n -= self.hi - self.lo
+            self._refill()
+        out += self.chunk[self.lo : self.lo + n]
+        self.lo += n
+        return out
+
+    def take_into(self, dst: memoryview) -> None:
+        """Fill ``dst``, a payload's bytes, which the caller has checked
+        against :meth:`remaining`."""
+        n = min(len(dst), self.hi - self.lo)
+        dst[:n] = self.chunk[self.lo : self.lo + n]
+        self.lo += n
+        rest = len(dst) - n
+        if rest >= _CHUNK // 4:
+            self._read_into(dst[n:])
+        elif rest:
+            self._refill()
+            dst[n:] = self.chunk[:rest]
+            self.lo = rest
+
+    def finish(self) -> int:
+        """Checksum the unread rest of the body; return the stated checksum."""
+        while self.left:
+            self._refill()
+        trailer = self.fh.read(8)
+        if len(trailer) != 8:
+            raise WeightFileError(f"'{self.path}' shrank while it was read")
+        return struct.unpack("<Q", trailer)[0]
+
+    def _refill(self) -> None:
+        if not self.left:
+            raise _Malformed(f"'{self.path}' is truncated or malformed: an entry runs past the end")
+        n = min(_CHUNK, self.left)
+        self._read_into(self.chunk[:n])
+        self.lo, self.hi = 0, n
+
+    def _read_into(self, view: memoryview) -> None:
+        if self.fh.readinto(view) != len(view):
+            raise WeightFileError(f"'{self.path}' shrank while it was read")
+        self.crc = crc64_xz(view, self.crc)
+        self.left -= len(view)
+
+
+def _read_entries(source: _Source, count: int) -> dict[str, np.ndarray]:
+    """The ``count`` entries at the source's position, the metadata entry
+    among them, in file order.  Each payload gets an array of its own,
+    allocated once its declared size is known to fit in the bytes left; a
+    structural fault raises :class:`_Malformed`."""
+    path = source.path
+    entries = {}
     try:
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", body, offset)
-            offset += 2
-            name = str(body[offset : offset + name_len], "utf-8")
-            offset += name_len
-            (rank,) = struct.unpack_from("<B", body, offset)
-            offset += 1
-            dims = struct.unpack_from(f"<{rank}I", body, offset)
-            offset += 4 * rank
+            (name_len,) = struct.unpack("<H", source.take(2))
+            head = source.take(name_len + 1)
+            name, rank = str(head[:-1], "utf-8"), head[-1]
+            dims = struct.unpack(f"<{rank}I", source.take(4 * rank))
             n = 1
             for d in dims:
                 n *= d
-            arr = np.frombuffer(body, dtype="<f4", count=n, offset=offset).reshape(dims)
-            offset += 4 * n
-            if name in seen:
-                raise WeightFileError(f"duplicate entry '{name}' in '{path}'")
-            seen.add(name)
-            if name == META_ENTRY:
-                _decode_meta(arr, store)
-            else:
-                store.entries[name] = arr.astype(np.float32)
-    except (struct.error, ValueError) as exc:
-        raise WeightFileError(f"'{path}' is truncated or malformed: {exc}") from exc
-    if offset != len(body):
-        raise WeightFileError(
-            f"'{path}' carries {len(body) - offset} trailing bytes past the "
+            if 4 * n > source.remaining():
+                raise _Malformed(
+                    f"'{path}' is truncated or malformed: entry '{name}' declares "
+                    f"{4 * n} payload bytes, {source.remaining()} remain"
+                )
+            arr = np.empty(dims, dtype="<f4")
+            source.take_into(memoryview(arr.reshape(-1)).cast("B"))
+            if name in entries:
+                raise _Malformed(f"duplicate entry '{name}' in '{path}'")
+            # a no-op on little-endian hosts, where '<f4' is float32
+            entries[name] = arr.astype(np.float32, copy=False)
+    except ValueError as exc:  # a name that is not UTF-8, a shape numpy refuses
+        raise _Malformed(f"'{path}' is truncated or malformed: {exc}") from exc
+    if source.remaining():
+        raise _Malformed(
+            f"'{path}' carries {source.remaining()} trailing bytes past the "
             f"declared {count} entries"
         )
+    return entries
+
+
+def load_weights(path: str) -> WeightStore:
+    """Read a container.  Checks run in this order: the file's length, the
+    magic, the version (which decides the checksum), the checksum over the
+    whole body, and only then the structure, so a damaged header reports a
+    checksum mismatch rather than the structural fault it causes.
+
+    Memory is one 1 MiB chunk beside the entries: the body is checksummed
+    chunk by chunk as it is read, headers are parsed from the chunk, each
+    payload is checked against the bytes left before its array is
+    allocated, and a payload of at least a quarter chunk is read straight
+    into its array.  Loaded arrays are aligned, writable and own their
+    memory.  A file that shrinks while it is read raises a WeightFileError.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < len(MAGIC) + 4 + 4 + 8:
+            raise WeightFileError(f"'{path}' is too short to be a weight file")
+        source = _Source(fh, path, size)
+        magic, version, count = struct.unpack("<4sII", source.take(12))
+        if magic != MAGIC:
+            raise WeightFileError(f"'{path}' lacks the weight-file magic")
+        if version != VERSION:
+            raise WeightFileError(f"unsupported weight-file version {version}")
+        try:
+            entries, fault = _read_entries(source, count), None
+        except _Malformed as exc:
+            entries, fault = {}, exc
+        stated = source.finish()
+    if stated != source.crc:
+        raise WeightFileError(
+            f"checksum mismatch in '{path}': stored {stated:016x}, "
+            f"computed {source.crc:016x}"
+        )
+    if fault is not None:
+        raise WeightFileError(str(fault)) from fault
+    store = WeightStore(entries=entries)
+    meta = entries.pop(META_ENTRY, None)
+    if meta is not None:
+        try:
+            _decode_meta(meta, store)
+        except ValueError as exc:
+            raise WeightFileError(f"'{path}' is truncated or malformed: {exc}") from exc
     return store

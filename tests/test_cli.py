@@ -162,6 +162,24 @@ class TestValidate:
         assert err.startswith(f"mhaf: config key '{key}'"), err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line, key", [
+        ("scale: !!bool nano", "scale"),
+        ("input_size: 1" + "0" * 400, "input_size"),
+    ], ids=["tagged", "huge-input"])
+    def test_tagged_or_huge_value_is_a_config_error(self, capsys, tmp_path, line, key):
+        # these ended in KeyError and OverflowError tracebacks
+        from mhaf.config import load_preset, serialize_config
+
+        text = serialize_config(load_preset("nano"))
+        old = next(ln for ln in text.splitlines() if ln.startswith(f"{key}: "))
+        path = tmp_path / "bad.yaml"
+        path.write_text(text.replace(old, line))
+        for command in ("validate", "shapes"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"mhaf: config key '{key}'"), err
+            assert "Traceback" not in err
+
 
 class TestMutatedConfigProperty:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)

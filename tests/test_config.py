@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mhaf.config import (
     MAX_CASCADE,
+    MAX_INPUT,
     MAX_WIDTH,
     PRESET_NAMES,
     ConfigError,
@@ -352,6 +353,31 @@ class TestFieldValidation:
         line = next(ln for ln in text.splitlines() if ln.startswith(f"{key}: "))
         with pytest.raises(ConfigError, match=rf"^config key '{key}' \(line \d+\): "):
             parse_config(text.replace(line, f"{key}: {value}"))
+
+    def test_input_size_is_bounded(self):
+        # an unbounded size reached float arithmetic in shape inference and
+        # raised OverflowError; 1 followed by 400 zeros is a multiple of 32
+        assert MAX_INPUT == 8192
+        text = nano_text().replace("input_size: 640", f"input_size: {MAX_INPUT}")
+        assert parse_config(text).input_size == MAX_INPUT
+        for value in (MAX_INPUT + 32, "1" + "0" * 400):
+            text = nano_text().replace("input_size: 640", f"input_size: {value}")
+            with pytest.raises(ConfigError, match=r"^config key 'input_size' \(line 4\): .* in 64\.\.8192"):
+                parse_config(text)
+
+    @pytest.mark.parametrize("tag", ["!!bool", "!!timestamp", "!!str", "!"])
+    def test_explicitly_tagged_value_named_by_key_and_line(self, tag):
+        # PyYAML's constructors raised KeyError on `!!bool nano` and
+        # AttributeError on `!!timestamp nano`; any explicit tag is refused
+        # before a constructor runs, even one that builds the same value
+        text = nano_text().replace("scale: nano", f"scale: {tag} nano")
+        with pytest.raises(ConfigError, match=r"^config key 'scale' \(line 1\): .*explicit YAML tag"):
+            parse_config(text)
+
+    def test_tag_inside_a_list_value_is_refused(self):
+        text = nano_text().replace("  - 128\n", "  - !!bool x\n")
+        with pytest.raises(ConfigError, match=r"^config key 'channels.stages' \(line \d+\): .*tag"):
+            parse_config(text)
 
     def test_scaled_width_past_float_range_rejected(self):
         text = nano_text().replace("neck: 320", "neck: 1" + "0" * 400)

@@ -4,6 +4,9 @@ import copy
 import gc
 import hashlib
 import pickle
+import platform
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
@@ -622,3 +625,54 @@ class TestBenchmark:
         rec = res.to_record()
         assert rec["label"] == "training"
         assert isinstance(rec["median_seconds"], float)
+
+
+# Run in a fresh interpreter: build nano in one form, warm it with 5
+# forwards, then print the mean minor page faults of 5 more.
+FAULTS_PER_FORWARD = """
+import resource, sys
+import numpy as np
+import mhaf
+
+form, path = sys.argv[1], sys.argv[2]
+graph = mhaf.assemble(mhaf.resolve_config("nano"))
+if form == "deployed":
+    fused = mhaf.fuse_model(graph, mhaf.init_weights(graph, seed=0))
+    graph, store, shape = fused.graph, fused.store, (1, 3, 320, 320)
+else:
+    store, shape = mhaf.load_weights(path), (4, 3, 96, 96)
+x = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+for _ in range(5):
+    mhaf.forward(graph, store, x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    mhaf.forward(graph, store, x)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the fault counts depend on glibc's malloc",
+)
+class TestForwardPageFaults:
+    """A warm forward reuses heap pages rather than faulting in fresh ones,
+    whatever ran before it in the process: its multi-MB temporaries must not
+    each be a new mmap.  Each case runs in a fresh interpreter, with nothing
+    freed by this test session in its heap."""
+
+    @pytest.mark.parametrize("form", ["deployed", "training"])
+    def test_warm_forward_takes_few_minor_faults(self, tmp_path, form):
+        # deployed: nano at 320x320 from init_weights, with no file;
+        # training: batch 4 at 96x96 from a file this process wrote, so a
+        # streamed load is all that ran before the plan
+        path = tmp_path / "nano.mhwt"
+        if form == "training":
+            graph = assemble(load_preset("nano"))
+            save_weights(init_weights(graph, seed=0), str(path))
+        proc = subprocess.run(
+            [sys.executable, "-c", FAULTS_PER_FORWARD, form, str(path)],
+            capture_output=True, text=True, check=True,
+        )
+        faults = float(proc.stdout)
+        assert faults < 100, f"{faults:.0f} minor faults per warm {form} forward"

@@ -8,9 +8,11 @@ import os
 import struct
 import tracemalloc
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mhaf import weights
 from mhaf.config import load_preset
@@ -140,6 +142,42 @@ class TestChecksum:
         expected = crc64_bitwise(payload)
         for offset, view in offset_views(payload):
             assert crc64_xz(view) == expected, offset
+
+
+@pytest.fixture(params=["liblzma", "byte-loop"])
+def crc_route(request, monkeypatch):
+    """Each checksum route in turn: liblzma's, and the byte loop of a Python
+    without it."""
+    if request.param == "liblzma":
+        if weights._lzma_crc64 is None:
+            pytest.skip("this Python has no liblzma")
+    else:
+        monkeypatch.setattr(weights, "_lzma_crc64", None)
+    return request.param
+
+
+class TestChainedChecksum:
+    """``crc64_xz(b, crc64_xz(a)) == crc64_xz(a + b)`` on both routes: the
+    weight-file reader and writer checksum a file piece by piece."""
+
+    def test_check_value_split_at_every_point(self, crc_route):
+        data = b"123456789"
+        for cut in range(len(data) + 1):
+            assert crc64_xz(data[cut:], crc64_xz(data[:cut])) == 0x995DC9BBDF1939FA, cut
+
+    def test_empty_pieces_change_nothing(self, crc_route):
+        assert crc64_xz(b"") == 0
+        for crc in (0, 1, 0x995DC9BBDF1939FA, 2**64 - 1):
+            assert crc64_xz(b"", crc) == crc
+        assert crc64_xz(b"456789", crc64_xz(b"", crc64_xz(b"123"))) == 0x995DC9BBDF1939FA
+
+    def test_multi_mb_buffer_cut_at_seeded_offsets(self, crc_route):
+        data = np.random.default_rng(21).integers(0, 256, size=(2 << 20) + 13, dtype=np.uint8)
+        cuts = np.sort(np.random.default_rng(22).integers(0, data.size, size=9))
+        crc = 0
+        for lo, hi in zip([0, *cuts], [*cuts, data.size]):
+            crc = crc64_xz(data[lo:hi], crc)
+        assert crc == crc64_xz(data)
 
 
 class TestLaneChecksum:
@@ -497,6 +535,19 @@ class TestDamageDetection:
         with pytest.raises(WeightFileError, match="checksum"):
             load_weights(path)
 
+    @pytest.mark.parametrize("missing", [4, 100, 3 << 20])
+    def test_file_that_shrinks_while_read_is_refused(self, tmp_path, monkeypatch, missing):
+        # the size taken at open promises bytes that are gone by the read:
+        # in the trailer, inside the body, or past a whole chunk
+        path = tmp_path / "w.mhwt"
+        save_weights(small_store(), path)
+        stat = os.fstat
+        monkeypatch.setattr(
+            weights.os, "fstat", lambda fd: SimpleNamespace(st_size=stat(fd).st_size + missing)
+        )
+        with pytest.raises(WeightFileError, match="shrank while it was read"):
+            load_weights(path)
+
     def test_tiny_file_is_caught(self, tmp_path):
         path = tmp_path / "w.mhwt"
         path.write_bytes(b"MHWT\x01")
@@ -608,3 +659,141 @@ class TestFormatContract:
         craft_file(path, [("__meta__", meta), ("w", [1.0]), ("__meta__", meta)])
         with pytest.raises(WeightFileError, match="duplicate entry '__meta__'"):
             load_weights(path)
+
+
+# ---------------------------------------------------------------------------
+# properties of the streamed container, with chunks small enough that
+# headers and payloads straddle their edges
+
+CHUNK_EDGES = 64
+META_TEXT = st.text(st.characters(blacklist_characters=";"), max_size=12)
+
+
+@st.composite
+def stores(draw):
+    """A store of random names, shapes and float32 bit patterns (NaNs with
+    payloads among them) and random metadata."""
+    names = draw(st.lists(
+        st.text(min_size=1, max_size=40).filter(lambda s: s != weights.META_ENTRY),
+        max_size=6, unique=True,
+    ))
+    entries = {}
+    for name in names:
+        shape = tuple(draw(st.lists(st.integers(0, 7), max_size=3)))
+        raw = draw(st.binary(min_size=4 * int(np.prod(shape)), max_size=4 * int(np.prod(shape))))
+        entries[name] = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
+    return WeightStore(
+        entries=entries,
+        form=draw(META_TEXT),
+        seed=draw(st.none() | st.integers(-(2**70), 2**70)),
+        spec_digest=draw(st.none() | META_TEXT.filter(lambda s: s not in ("", "none"))),
+    )
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("props") / "w.mhwt"
+
+
+def saved_bytes(store, path):
+    save_weights(store, path)
+    return path.read_bytes()
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestContainerProperties:
+    @PROPERTY
+    @given(store=stores())
+    def test_random_store_round_trips_bit_for_bit(self, scratch_file, store):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "_CHUNK", CHUNK_EDGES)
+            raw = saved_bytes(store, scratch_file)
+            loaded = load_weights(scratch_file)
+        assert saved_bytes(store, scratch_file) == raw  # the chunk size is not in the bytes
+        assert (loaded.form, loaded.seed, loaded.spec_digest) == (
+            store.form, store.seed, store.spec_digest)
+        assert list(loaded.entries) == list(store.entries)
+        for name, arr in store.entries.items():
+            got = loaded.entries[name]
+            assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
+
+    @PROPERTY
+    @given(store=stores(), data=st.data())
+    def test_every_truncation_raises_weight_file_error(self, scratch_file, store, data):
+        raw = saved_bytes(store, scratch_file)
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        scratch_file.write_bytes(raw[:cut])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "_CHUNK", CHUNK_EDGES)
+            with pytest.raises(WeightFileError):
+                load_weights(scratch_file)
+
+    @PROPERTY
+    @given(store=stores(), data=st.data())
+    def test_one_flipped_byte_is_named_by_where_it_lies(self, scratch_file, store, data):
+        raw = bytearray(saved_bytes(store, scratch_file))
+        pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+        raw[pos] ^= data.draw(st.integers(1, 255), label="mask")
+        scratch_file.write_bytes(bytes(raw))
+        match = "magic" if pos < 4 else "version" if pos < 8 else "checksum mismatch"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weights, "_CHUNK", CHUNK_EDGES)
+            with pytest.raises(WeightFileError, match=match):
+                load_weights(scratch_file)
+
+
+class TestStreamedMemory:
+    """A save or load holds one 1 MiB chunk beside the store, never the
+    whole file: tracemalloc peaks against nano's 9.3 MB file."""
+
+    SLACK = 1.5 * 2**20
+
+    @pytest.fixture(scope="class")
+    def nano(self, tmp_path_factory):
+        store = init_weights(assemble(load_preset("nano")), seed=0)
+        path = tmp_path_factory.mktemp("nano") / "nano.mhwt"
+        save_weights(store, path)
+        return store, path
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_peaks_within_a_chunk_of_its_entries(self, nano):
+        _, path = nano
+        store, peak = self.traced_peak(lambda: load_weights(path))
+        held = sum(arr.nbytes for arr in store.entries.values())
+        assert held > 9e6
+        assert peak - held <= self.SLACK, f"{(peak - held) / 2**20:.2f} MiB above the entries"
+
+    def test_save_peaks_within_a_chunk(self, nano):
+        store, path = nano
+        _, peak = self.traced_peak(lambda: save_weights(store, path))
+        assert peak <= self.SLACK, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_checksum_runs_once_per_chunk_or_large_payload(self, nano, monkeypatch):
+        # one call per byte range keeps the checksum cheap: thousands of
+        # small calls cost more than the bytes they cover
+        store, path = nano
+        calls = []
+        real = weights.crc64_xz
+
+        def counted(data, crc=0):
+            calls.append(len(data))
+            return real(data, crc)
+
+        monkeypatch.setattr(weights, "crc64_xz", counted)
+        save_weights(store, path)
+        saves = len(calls)
+        load_weights(path)
+        large = sum(arr.nbytes >= weights._CHUNK // 4 for arr in store.entries.values())
+        bound = path.stat().st_size // weights._CHUNK + 2 * large + 2
+        assert saves <= bound and len(calls) - saves <= bound, (saves, len(calls) - saves, bound)
+        assert sum(calls[saves:]) == sum(calls[:saves]) == path.stat().st_size - 8
